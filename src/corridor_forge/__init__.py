@@ -38,10 +38,8 @@ from .pm import (
     PmConfig,
     PmRunReport,
     hpm_upper,
-    hs_upper,
     pm_diameter_lower,
     pm_error_band,
-    pm_predicted_Y,
     pm_run,
 )
 

@@ -10,65 +10,43 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import experiments, serialize
 from .corridor import ProcessConfig, run
-from .errors import CorridorForgeError
+from .errors import CorridorForgeError, InvalidParams
 from .gf2 import reduced_betti
 from .pm import PmConfig, pm_run
 
 
-def _write_json(obj, out: str | None):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _write_text(text: str, out: str | None):
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _cmd_generate_corridor(args) -> int:
-    cfg = ProcessConfig(
+def _write_json(obj, out: str | None):
+    _write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", out)
+
+
+def _cmd_generate(args) -> int:
+    pm = args.command == "generate-pm"
+    cfg = (PmConfig if pm else ProcessConfig)(
         n=args.n,
         d=args.d,
         seed=args.seed,
         record_every=args.record_every,
         track_random=args.track_random,
     )
-    report = run(cfg)
-    text = serialize.report_json(report)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    report = pm_run(cfg) if pm else run(cfg)
+    _write_text(serialize.report_json(report), args.out)
     if args.record_every > 0:
         traj = args.traj_out or _default_traj_path(args.out)
         if traj:
             serialize.write_trajectory_csv(
-                report.records, 3 * args.d + 1, traj, args.d, args.n
-            )
-    return 0
-
-
-def _cmd_generate_pm(args) -> int:
-    cfg = PmConfig(
-        n=args.n,
-        d=args.d,
-        seed=args.seed,
-        record_every=args.record_every,
-        track_random=args.track_random,
-    )
-    report = pm_run(cfg)
-    text = serialize.report_json(report)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    if args.record_every > 0:
-        traj = args.traj_out or _default_traj_path(args.out)
-        if traj:
-            serialize.write_trajectory_csv(
-                report.records, 3 * args.d + 4, traj, args.d, args.n
+                report.records, cfg.spec.period(args.d), traj, args.d, args.n
             )
     return 0
 
@@ -96,12 +74,11 @@ def _cmd_homology(args) -> int:
 def _cmd_bounds(args) -> int:
     rows = experiments.bounds_table(args.n, args.d)
     if args.format == "csv":
-        writer = csv.DictWriter(
-            sys.stdout if not args.out else open(args.out, "w", newline=""),
-            fieldnames=list(rows[0].keys()),
-        )
-        writer.writeheader()
-        writer.writerows(rows)
+        sink = open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)
+        with sink as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+            writer.writeheader()
+            writer.writerows(rows)
     else:
         _write_json(rows, args.out)
     return 0
@@ -115,7 +92,11 @@ def _cmd_johnson_oracle(args) -> int:
 
 def _cmd_experiment(args) -> int:
     with open(args.spec) as fh:
-        spec = experiments.ExperimentSpec.from_dict(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise InvalidParams(f"{args.spec} is not valid JSON: {err}") from None
+    spec = experiments.ExperimentSpec.from_dict(obj)
     summary = experiments.run_experiment(spec, args.out_dir)
     _write_json(summary, None)
     return 0
@@ -129,7 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(p):
+    for command, process in (
+        ("generate-corridor", "corridor"),
+        ("generate-pm", "pseudomanifold"),
+    ):
+        p = sub.add_parser(command, help=f"run the {process} process")
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--seed", type=int, required=True)
@@ -137,14 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--track-random", type=int, default=10)
         p.add_argument("--out", default=None)
         p.add_argument("--traj-out", default=None)
-
-    p = sub.add_parser("generate-corridor", help="run the corridor process")
-    add_run_flags(p)
-    p.set_defaults(func=_cmd_generate_corridor)
-
-    p = sub.add_parser("generate-pm", help="run the pseudomanifold process")
-    add_run_flags(p)
-    p.set_defaults(func=_cmd_generate_pm)
+        p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("analyze", help="diameter/connectivity/f-vector report")
     p.add_argument("input")

@@ -1,18 +1,32 @@
-"""The randomized corridor-mapping process.
+"""The randomized mapping engine and the corridor process built on it.
 
-Maps the infinite straight corridor into the complete d-complex on [n]
-one vertex at a time, choosing uniformly among the vertices that close
-no already-closed (d-1)-face and were not among the previous 2d images.
-Every step closes exactly d new (d-1)-faces, so the image's dual graph
-is an induced path in the Johnson graph J(n, d+1).
+Both processes of the package map a straight corridor into the complete
+d-complex on [n] one vertex at a time. The engine keeps a sliding window
+of the last w mapped vertices and chooses the next vertex uniformly among
+those that close no already-closed (d-1)-face with the window and were
+not among the previous 2w images. A ProcessSpec fixes w; everything else
+follows from it:
+
+- the start is w+1 vertices, closing their C(w+1, d) (d-1)-faces
+- each step closes C(w, d-1) faces, so the surviving-face density is
+  p = 1 - C(w, d-1) d! i / n^d
+- the tracker period is 3w+1 and the link-shaped tracked complex has 2w
+  vertices and w+1 windows of width w
+- first_low_step is the first step with at most 2w available vertices
+- n must be at least 4w+2 (w+2 with allow_small_n)
+
+The corridor process has w = d: every step closes exactly d new
+(d-1)-faces, so the image's dual graph is an induced path in the Johnson
+graph J(n, d+1). The pseudomanifold process (w = d+1) lives in pm.py.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable, ClassVar
 
 from .closure import face_key, scan_available
 from .complexes import Face, SimplicialComplex
@@ -33,14 +47,43 @@ from .trajectory import (
 TRACKER_SEED_SALT = 0x7A11_0C0D
 
 
-def corridor_p(n: int, d: int, i: int) -> float:
-    """Surviving-face density 1 - d*d!*t at scaled time t = i / n^d."""
-    return 1.0 - d * math.factorial(d) * i / n**d
+@dataclass(frozen=True)
+class ProcessSpec:
+    """What sets a mapping process apart: its window width w = d + extra,
+    its error function e(d, p) and its cap on the size |A| of a tracked
+    complex. The fourth difference, how the image is assembled and
+    verified, is the process's run function."""
 
+    extra: int
+    error_function: Callable[[int, float], float]
+    size_cap: Callable[[int], int]
 
-def predicted_Y(n: int, d: int, i: int, size_a: int) -> float:
-    """Linial-Meshulam heuristic n * p^|A| for the tracked vertex count."""
-    return predicted_y(n, corridor_p(n, d, i), size_a)
+    def width(self, d: int) -> int:
+        return d + self.extra
+
+    def period(self, d: int) -> int:
+        """Subsequence period 3w+1 of the W_{A,j} counters."""
+        return 3 * self.width(d) + 1
+
+    def rate(self, d: int) -> int:
+        """Faces closed per step: C(w, d-1), times d! in the time scaling."""
+        return math.comb(self.width(d), d - 1)
+
+    def p(self, n: int, d: int, i: int) -> float:
+        """Surviving-face density 1 - rate*d!*t at scaled time t = i / n^d."""
+        return 1.0 - self.rate(d) * math.factorial(d) * i / n**d
+
+    def predicted_Y(self, n: int, d: int, i: int, size_a: int) -> float:
+        """Linial-Meshulam heuristic n * p^|A| for the tracked vertex count."""
+        return predicted_y(n, self.p(n, d, i), size_a)
+
+    def error_band(self, n: int, d: int, t: float) -> float:
+        """Concentration interval half-width n^{3/4} e(t) / 2.
+
+        Vacuously larger than n at desk scale; reported for completeness.
+        """
+        p = 1.0 - self.rate(d) * math.factorial(d) * t
+        return band_halfwidth(n, self.error_function(d, p))
 
 
 def error_function(d: int, p: float) -> float:
@@ -55,13 +98,11 @@ def error_function(d: int, p: float) -> float:
         return math.inf
 
 
-def error_band(n: int, d: int, t: float) -> float:
-    """Concentration interval half-width n^{3/4} e(t) / 2.
-
-    Vacuously larger than n at desk scale; reported for completeness.
-    """
-    p = 1.0 - d * math.factorial(d) * t
-    return band_halfwidth(n, error_function(d, p))
+# The corridor process: window width d, |A| <= d^2.
+CORRIDOR = ProcessSpec(extra=0, error_function=error_function, size_cap=lambda d: d * d)
+corridor_p = CORRIDOR.p
+predicted_Y = CORRIDOR.predicted_Y
+error_band = CORRIDOR.error_band
 
 
 def i_end(n: int, d: int, eps: float) -> int | None:
@@ -79,7 +120,10 @@ def i_end(n: int, d: int, eps: float) -> int | None:
 
 
 def volume_bound_steps(n: int, d: int) -> float:
-    """Exact upper bound (C(n,d) - (d+1)) / d on the number of steps."""
+    """Exact upper bound (C(n,d) - (d+1)) / d on the number of corridor
+    steps, which is the corridor's path length."""
+    if n <= d:
+        raise InvalidParams("need n > d")
     return (math.comb(n, d) - (d + 1)) / d
 
 
@@ -93,11 +137,18 @@ class ProcessConfig:
     track_link: bool = True
     track: tuple[tuple[str, tuple[Face, ...]], ...] = ()
     allow_small_n: bool = False
+    spec: ClassVar[ProcessSpec] = CORRIDOR
 
     def validate(self):
         if self.d < 2:
             raise InvalidParams("process requires d >= 2")
-        floor = self.d + 2 if self.allow_small_n else 4 * self.d + 2
+        if self.record_every < 0 or self.track_random < 0:
+            raise InvalidParams(
+                f"record_every and track_random must be >= 0, got "
+                f"{self.record_every} and {self.track_random}"
+            )
+        w = self.spec.width(self.d)
+        floor = w + 2 if self.allow_small_n else 4 * w + 2
         if self.n < floor:
             raise InvalidParams(f"need n >= {floor}, got n={self.n}")
 
@@ -137,28 +188,19 @@ class RunReport:
     config: ProcessConfig
     steps: int
     first_low_step: int | None
-    termination: str
     image: SimplicialComplex
     records: list[TrajectoryRecord]
     first_band_exit: int | None
 
-    @property
-    def path_length(self) -> int:
-        return self.steps
-
-
-def _family_bounds(d: int) -> tuple[int, int]:
-    # v_A <= 2d, |A| <= d^2
-    return 2 * d, d * d
-
 
 def default_tracked_family(config: ProcessConfig) -> list[TrackedComplex]:
     """Boundaries of track_random uniformly random (d-1)-faces plus, when
-    track_link is set, one corridor-link-shaped complex with v_A = 2d and
-    |A| = d^2. Sampled from a salted stream so the run itself is
-    unchanged by tracking."""
+    track_link is set, one link-shaped complex: the (d-2)-faces of the
+    w+1 windows of width w on 2w random vertices. Sampled from a salted
+    stream so the run itself is unchanged by tracking."""
     n, d = config.n, config.d
-    max_v, max_size = _family_bounds(d)
+    w = config.spec.width(d)
+    max_v, max_size = 2 * w, config.spec.size_cap(d)
     rng = random.Random(config.seed ^ TRACKER_SEED_SALT)
     tracked = []
     for name, faces in config.track:
@@ -171,10 +213,10 @@ def default_tracked_family(config: ProcessConfig) -> list[TrackedComplex]:
             )
         )
     if config.track_link:
-        w = rng.sample(range(1, n + 1), 2 * d)
+        vertices = rng.sample(range(1, n + 1), 2 * w)
         faces = set()
-        for a in range(0, d + 1):  # the d+1 windows of SC_{d-1}(2d)
-            window = w[a : a + d]
+        for a in range(0, w + 1):
+            window = vertices[a : a + w]
             faces.update(
                 tuple(sorted(sub)) for sub in combinations(window, d - 1)
             )
@@ -185,11 +227,12 @@ def default_tracked_family(config: ProcessConfig) -> list[TrackedComplex]:
 
 
 def init(config: ProcessConfig) -> ProcessState:
-    """Choose the starting d-face uniformly and close its d+1 faces."""
+    """Choose the w+1 starting vertices uniformly and close their
+    (d-1)-faces."""
     config.validate()
     n, d = config.n, config.d
     rng = random.Random(config.seed)
-    start = rng.sample(range(1, n + 1), d + 1)
+    start = rng.sample(range(1, n + 1), config.spec.width(d) + 1)
     base = n + 1
     closed_faces = [tuple(sorted(c)) for c in combinations(start, d)]
     state = ProcessState(
@@ -200,9 +243,8 @@ def init(config: ProcessConfig) -> ProcessState:
         rng=rng,
     )
     if config.record_every > 0:
-        period = 3 * d + 1
         state.tracker = TrajectoryTracker(
-            n=n, period=period, tracked=default_tracked_family(config)
+            n=n, period=config.spec.period(d), tracked=default_tracked_family(config)
         )
         for f in closed_faces:
             state.tracker.note_closure(f, 0)
@@ -212,21 +254,20 @@ def init(config: ProcessConfig) -> ProcessState:
 def _scan(state: ProcessState) -> tuple[int, list[int]]:
     """One pass over [n]: returns (|X_k|, choice list).
 
-    X_k is the set of vertices outside the terminal face that close no
+    X_k is the set of vertices outside the window that close no
     already-closed face; the choice list further excludes the images of
-    the previous 2d corridor vertices.
+    the previous 2w mapped vertices.
     """
     cfg = state.config
-    n, d = cfg.n, cfg.d
-    terminal = tuple(sorted(state.phi[-d:]))
-    taus = list(combinations(terminal, d - 1))
+    n, w = cfg.n, cfg.spec.width(cfg.d)
+    window = tuple(sorted(state.phi[-w:]))
     return scan_available(
         n=n,
         base=n + 1,
         closed=state.closed_keys,
-        window=set(terminal),
-        taus=taus,
-        recent=set(state.phi[-2 * d :]),
+        window=set(window),
+        taus=list(combinations(window, cfg.d - 1)),
+        recent=set(state.phi[-2 * w :]),
     )
 
 
@@ -235,20 +276,23 @@ def candidates(state: ProcessState) -> list[int]:
     return _scan(state)[1]
 
 
-def step(state: ProcessState) -> bool:
-    """Advance one step. Returns False when the candidate set is empty."""
+def step(state: ProcessState, scan: tuple[int, list[int]] | None = None) -> bool:
+    """Advance one step, closing C(w, d-1) faces. Returns False when the
+    candidate set is empty. ``scan`` is this state's scan result when the
+    caller already has it."""
     cfg = state.config
     d = cfg.d
-    xk, choice = _scan(state)
-    if state.first_low_step is None and xk <= 2 * d:
+    w = cfg.spec.width(d)
+    xk, choice = _scan(state) if scan is None else scan
+    if state.first_low_step is None and xk <= 2 * w:
         state.first_low_step = state.step
     if not choice:
         return False
     v = choice[state.rng.randrange(len(choice))]
-    terminal = tuple(sorted(state.phi[-d:]))
+    window = tuple(sorted(state.phi[-w:]))
     base = cfg.n + 1
     round_no = state.step + 1
-    for tau in combinations(terminal, d - 1):
+    for tau in combinations(window, d - 1):
         face = tuple(sorted(tau + (v,)))
         key = face_key(face, base)
         assert key not in state.closed_keys
@@ -262,22 +306,20 @@ def step(state: ProcessState) -> bool:
 
 def _record(state: ProcessState, terminal_y: int) -> TrajectoryRecord:
     cfg = state.config
-    n, d = cfg.n, cfg.d
+    spec, n, d = cfg.spec, cfg.n, cfg.d
     i = state.step
     t = i / n**d
-    p = corridor_p(n, d, i)
-    period = 3 * d + 1
+    p = spec.p(n, d, i)
+    period = spec.period(d)
     try:
-        e_val = error_function(d, p)
+        e_val = spec.error_function(d, p)
         band = band_halfwidth(n, e_val)
     except OutOfRegime:
         e_val = band = None
     entries: dict[str, TrajectoryEntry] = {}
-    tracker = state.tracker
-    tracker.snapshot(i)
-    for tc in tracker.tracked:
-        w = tuple(tracker.w[tc.name])
-        y = tracker.y_value(tc.name)
+    snap = state.tracker.snapshot(i)
+    for tc in state.tracker.tracked:
+        w = snap.w[tc.name]
         pred = n * p**tc.size if p >= 0 else None
         z = None
         if band is not None:
@@ -285,56 +327,60 @@ def _record(state: ProcessState, terminal_y: int) -> TrajectoryRecord:
                 z_statistic(wj, n, p, tc.size, e_val, period) for wj in w
             )
         entries[tc.name] = TrajectoryEntry(
-            size=tc.size, y=y, w=w, pred=pred, band=band, z=z
+            size=tc.size, y=snap.y[tc.name], w=w, pred=pred, band=band, z=z
         )
     return TrajectoryRecord(step=i, t=t, p=p, terminal_y=terminal_y, entries=entries)
 
 
-def run(config: ProcessConfig) -> RunReport:
-    """Run to exhaustion, assemble the image complex, verify invariants."""
+def simulate(config: ProcessConfig) -> tuple[ProcessState, list[TrajectoryRecord]]:
+    """Run the process of ``config.spec`` to exhaustion, scanning once per
+    state; every record_every steps, record the tracked statistics."""
     state = init(config)
     records: list[TrajectoryRecord] = []
     stride = config.record_every
+    scan = _scan(state)
     if stride > 0:
-        xk0, _ = _scan(state)
-        records.append(_record(state, xk0))
-    while True:
-        if not step(state):
-            break
+        records.append(_record(state, scan[0]))
+    while step(state, scan):
+        scan = _scan(state)
         if stride > 0 and state.step % stride == 0:
-            xk, _ = _scan(state)
-            records.append(_record(state, xk))
+            records.append(_record(state, scan[0]))
+    return state, records
+
+
+def verify_process(state: ProcessState):
+    """Recheck what every exhausted run guarantees: no face was closed
+    twice and each tracked complex keeps Y_A = n - v_A - sum_j W_{A,j}."""
+    cfg = state.config
+    d, spec = cfg.d, cfg.spec
+    expected_closed = math.comb(spec.width(d) + 1, d) + spec.rate(d) * state.step
+    if len(state.closed_keys) != expected_closed:
+        raise VerificationError("closed-face count off: a face repeated")
+    if state.tracker is not None:
+        for tc in state.tracker.tracked:
+            if not state.tracker.identity_holds(tc):
+                raise VerificationError(f"Y/W identity broken for {tc.name}")
+
+
+def run(config: ProcessConfig) -> RunReport:
+    """Run the corridor process to exhaustion, assemble the image (one
+    facet per d+1 consecutive mapped vertices), verify invariants."""
+    state, records = simulate(config)
     d = config.d
     facets = [
         tuple(sorted(state.phi[j : j + d + 1]))
         for j in range(len(state.phi) - d)
     ]
-    image = SimplicialComplex(n=config.n, facets=frozenset(facets))
     report = RunReport(
         config=config,
         steps=state.step,
         first_low_step=state.first_low_step,
-        termination="exhausted",
-        image=image,
+        image=SimplicialComplex(n=config.n, facets=frozenset(facets)),
         records=records,
         first_band_exit=first_band_exit(records, config.n),
     )
     verify_run(report, state)
     return report
-
-
-def z_value(
-    tracker: TrajectoryTracker, name: str, j: int, ell: int, n: int, d: int
-) -> float:
-    """Centered statistic W_{A,j} at step (3d+1) ell + j minus trajectory
-    and half-band. Requires that step to have been snapshot; raises
-    NotRecorded otherwise."""
-    period = 3 * d + 1
-    step = period * ell + j
-    w = tracker.w_at(name, step)
-    p = corridor_p(n, d, step)
-    size = next(tc.size for tc in tracker.tracked if tc.name == name)
-    return z_statistic(w[j], n, p, size, error_function(d, p), period)
 
 
 def first_band_exit(records: list[TrajectoryRecord], n: int) -> int | None:
@@ -356,11 +402,10 @@ def first_band_exit(records: list[TrajectoryRecord], n: int) -> int | None:
 
 
 def verify_run(report: RunReport, state: ProcessState):
-    """Recheck the structural invariants of a completed run."""
+    """Recheck the structural invariants of a completed corridor run."""
     cfg = report.config
     d = cfg.d
-    if len(state.closed_keys) != d + 1 + d * report.steps:
-        raise VerificationError("closed-face count off: a face repeated")
+    verify_process(state)
     if len(report.image.facets) != report.steps + 1:
         raise VerificationError("image facet count != steps + 1")
     dual = build_dual(report.image, d)
@@ -368,7 +413,3 @@ def verify_run(report: RunReport, state: ProcessState):
         raise VerificationError("image dual graph is not an induced path")
     if report.steps > volume_bound_steps(cfg.n, d):
         raise VerificationError("volume bound violated")
-    if state.tracker is not None:
-        for tc in state.tracker.tracked:
-            if not state.tracker.identity_holds(tc):
-                raise VerificationError(f"Y/W identity broken for {tc.name}")

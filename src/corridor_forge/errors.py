@@ -29,10 +29,6 @@ class OutOfRegime(CorridorForgeError):
     """Trajectory formula evaluated outside its valid time range (p <= 0)."""
 
 
-class NotRecorded(CorridorForgeError):
-    """Requested step is not present in the trajectory record."""
-
-
 class InvalidFace(CorridorForgeError):
     """A face was referenced that does not belong to the complex."""
 

@@ -21,10 +21,12 @@ from .dual import (
     vertex_connectivity,
 )
 from .errors import InvalidParams, RefusedSize, VerificationError
-from .pm import PmConfig, hpm_upper, hs_upper, pm_rate, pm_run
-from .serialize import pm_report_to_dict, corridor_report_to_dict
+from .pm import PmConfig, hpm_upper, pm_run
+from .serialize import report_to_dict
 
 THREADS_ENV = "CORRIDOR_FORGE_THREADS"
+
+CONFIGS = {"corridor": ProcessConfig, "pm": PmConfig}
 
 SUMMARY_COLUMNS = [
     "mode",
@@ -44,7 +46,12 @@ SUMMARY_COLUMNS = [
 def max_workers() -> int:
     raw = os.environ.get(THREADS_ENV)
     if raw:
-        return max(1, int(raw))
+        try:
+            return max(1, int(raw))
+        except ValueError:
+            raise InvalidParams(
+                f"{THREADS_ENV} must be an integer, got {raw!r}"
+            ) from None
     return os.cpu_count() or 1
 
 
@@ -58,47 +65,49 @@ class ExperimentSpec:
     track_random: int = 10
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "ExperimentSpec":
+    def from_dict(cls, obj) -> "ExperimentSpec":
+        if not isinstance(obj, dict):
+            raise InvalidParams("experiment spec must be a JSON object")
         mode = obj.get("mode")
         if mode not in ("corridor", "pm"):
             raise InvalidParams(f"unknown experiment mode {mode!r}")
-        if "seeds" in obj:
-            seeds = [int(s) for s in obj["seeds"]]
-        else:
-            base = int(obj.get("base_seed", 0))
-            seeds = [base + k for k in range(int(obj["runs"]))]
+        try:
+            if "seeds" in obj:
+                seeds = [int(s) for s in obj["seeds"]]
+            else:
+                base = int(obj.get("base_seed", 0))
+                seeds = [base + k for k in range(int(obj["runs"]))]
+            spec = cls(
+                mode=mode,
+                n_list=[int(x) for x in obj["n"]],
+                d_list=[int(x) for x in obj["d"]],
+                seeds=seeds,
+                record_every=int(obj.get("record_every", 0)),
+                track_random=int(obj.get("track_random", 10)),
+            )
+        except KeyError as err:
+            raise InvalidParams(f"experiment spec is missing {err}") from None
+        except (TypeError, ValueError) as err:
+            raise InvalidParams(f"bad experiment spec: {err}") from None
         if not seeds:
             raise InvalidParams("empty seed list")
-        return cls(
-            mode=mode,
-            n_list=[int(x) for x in obj["n"]],
-            d_list=[int(x) for x in obj["d"]],
-            seeds=seeds,
-            record_every=int(obj.get("record_every", 0)),
-            track_random=int(obj.get("track_random", 10)),
-        )
+        return spec
 
 
-def _corridor_task(args) -> dict:
-    n, d, seed, record_every, track_random = args
-    cfg = ProcessConfig(
+def _task(args) -> dict:
+    mode, n, d, seed, record_every, track_random = args
+    cfg = CONFIGS[mode](
         n=n, d=d, seed=seed, record_every=record_every, track_random=track_random
     )
-    return corridor_report_to_dict(run(cfg))
-
-
-def _pm_task(args) -> dict:
-    n, d, seed, record_every, track_random = args
-    cfg = PmConfig(
-        n=n, d=d, seed=seed, record_every=record_every, track_random=track_random
-    )
-    return pm_report_to_dict(pm_run(cfg))
+    try:
+        report = pm_run(cfg) if mode == "pm" else run(cfg)
+    except VerificationError as err:
+        raise VerificationError(f"seed {seed}: {err}") from err
+    return report_to_dict(report)
 
 
 def first_order_steps(mode: str, n: int, d: int) -> float:
-    if mode == "corridor":
-        return n**d / (d * math.factorial(d))
-    return n**d / (math.factorial(d) * pm_rate(d))
+    return n**d / (CONFIGS[mode].spec.rate(d) * math.factorial(d))
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> list[dict]:
@@ -107,21 +116,20 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> list[dict]:
     aborts with the offending seed in the message."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    task = _corridor_task if spec.mode == "corridor" else _pm_task
     summary: list[dict] = []
     workers = max_workers()
     for d in spec.d_list:
         for n in spec.n_list:
             jobs = [
-                (n, d, seed, spec.record_every, spec.track_random)
+                (spec.mode, n, d, seed, spec.record_every, spec.track_random)
                 for seed in spec.seeds
             ]
             try:
                 if workers > 1 and len(jobs) > 1:
                     with ProcessPoolExecutor(max_workers=workers) as pool:
-                        reports = list(pool.map(task, jobs))
+                        reports = list(pool.map(_task, jobs))
                 else:
-                    reports = [task(j) for j in jobs]
+                    reports = [_task(j) for j in jobs]
             except VerificationError as err:
                 raise VerificationError(
                     f"verification failed in grid point n={n} d={d}: {err}"
@@ -136,7 +144,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> list[dict]:
             exact = (
                 volume_bound_steps(n, d)
                 if spec.mode == "corridor"
-                else math.comb(n, d) / pm_rate(d)
+                else math.comb(n, d) / PmConfig.spec.rate(d)
             )
             mean = sum(steps) / len(steps)
             summary.append(
@@ -203,8 +211,8 @@ def bounds_table(n_list: list[int], d_list: list[int]) -> list[dict]:
                 {
                     "n": n,
                     "d": d,
-                    "hs_exact": hs_upper(n, d),
-                    "hs_first_order": n**d / (d * math.factorial(d)),
+                    "hs_exact": volume_bound_steps(n, d),
+                    "hs_first_order": first_order_steps("corridor", n, d),
                     "hpm_exact": hpm_upper(n, d),
                     "hpm_first_order": 2
                     * n**d

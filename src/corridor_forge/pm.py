@@ -2,55 +2,37 @@
 
 Maps the boundary of the (d+1)-dimensional straight corridor into the
 complete d-complex on [n], one vertex at a time, never repeating a
-(d-1)-face. Each step cones over the codimension-2 skeleton of the
-previous d+1 chosen vertices, closing binom(d+1, 2) new (d-1)-faces; the
-assembled image is a pseudomanifold whose dual diameter is bounded below
-by the known diameter of the boundary corridor.
+(d-1)-face. It is the engine of corridor.py with a window of w = d+1
+vertices: each step cones over the codimension-2 skeleton of the previous
+d+1 chosen vertices, closing binom(d+1, 2) new (d-1)-faces; the assembled
+image is a pseudomanifold whose dual diameter is bounded below by the
+known diameter of the boundary corridor.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from itertools import combinations
+from typing import ClassVar
 
-from .closure import face_key, scan_available
 from .complexes import (
-    Face,
     SimplicialComplex,
     boundary_corridor,
     f_vector,
     is_pseudomanifold,
     k_faces,
 )
-from .corridor import TRACKER_SEED_SALT, TrajectoryEntry, TrajectoryRecord
+from .corridor import (
+    ProcessConfig,
+    ProcessSpec,
+    ProcessState,
+    RunReport,
+    first_band_exit,
+    simulate,
+    verify_process,
+)
 from .dual import build_dual, diameter
 from .errors import InvalidParams, OutOfRegime, VerificationError
-from .trajectory import (
-    TrajectoryTracker,
-    band_halfwidth,
-    face_boundary,
-    tracked_complex,
-    z_statistic,
-)
-
-
-def pm_rate(d: int) -> int:
-    """Faces closed per step: binom(d+1, 2), times d! in the time scaling."""
-    return math.comb(d + 1, 2)
-
-
-def pm_p(n: int, d: int, i: int) -> float:
-    """Surviving-face density 1 - binom(d+1,2) d! t at t = i / n^d."""
-    return 1.0 - pm_rate(d) * math.factorial(d) * i / n**d
-
-
-def pm_predicted_Y(n: int, d: int, i: int, size_a: int) -> float:
-    p = pm_p(n, d, i)
-    if p < 0:
-        raise OutOfRegime(f"p={p} is negative")
-    return n * p**size_a
 
 
 def pm_error_function(d: int, p: float) -> float:
@@ -64,9 +46,14 @@ def pm_error_function(d: int, p: float) -> float:
         return math.inf
 
 
-def pm_error_band(n: int, d: int, t: float) -> float:
-    p = 1.0 - math.factorial(d) * pm_rate(d) * t
-    return band_halfwidth(n, pm_error_function(d, p))
+# The pseudomanifold process: window width d+1, |A| <= d + (d+2) C(d,2).
+PM = ProcessSpec(
+    extra=1,
+    error_function=pm_error_function,
+    size_cap=lambda d: d + (d + 2) * math.comb(d, 2),
+)
+pm_rate = PM.rate
+pm_error_band = PM.error_band
 
 
 def pm_diameter_lower(N: int, d: int) -> float:
@@ -74,13 +61,6 @@ def pm_diameter_lower(N: int, d: int) -> float:
     if N < d + 2:
         raise InvalidParams(f"need N >= d + 2, got N={N}")
     return d / (d + 1) * N - d - 1
-
-
-def hs_upper(n: int, d: int) -> float:
-    """Exact volume bound (C(n,d) - (d+1)) / d on corridor path length."""
-    if n <= d:
-        raise InvalidParams("need n > d")
-    return (math.comb(n, d) - (d + 1)) / d
 
 
 def hpm_upper(n: int, d: int) -> float:
@@ -91,195 +71,23 @@ def hpm_upper(n: int, d: int) -> float:
     return 2 * math.comb(n, d) / (d + 1) ** 2 + 1
 
 
-def _pm_family_bounds(d: int) -> tuple[int, int]:
-    # v_A <= 2(d+1), |A| <= d + (d+2) * binom(d, 2)
-    return 2 * (d + 1), d + (d + 2) * math.comb(d, 2)
-
-
 @dataclass
-class PmConfig:
-    n: int
-    d: int
-    seed: int
-    record_every: int = 0
-    track_random: int = 10
-    track_link: bool = True
-    track: tuple[tuple[str, tuple[Face, ...]], ...] = ()
+class PmConfig(ProcessConfig):
     compute_diameter: bool = True
-    allow_small_n: bool = False
-
-    def validate(self):
-        if self.d < 2:
-            raise InvalidParams("process requires d >= 2")
-        floor = self.d + 3 if self.allow_small_n else 4 * (self.d + 1) + 2
-        if self.n < floor:
-            raise InvalidParams(f"need n >= {floor}, got n={self.n}")
+    spec: ClassVar[ProcessSpec] = PM
 
 
 @dataclass
-class PmState:
-    config: PmConfig
-    phi: list[int]
-    closed_keys: set[int]
-    step: int
-    rng: random.Random
-    tracker: TrajectoryTracker | None = None
-    first_low_step: int | None = None
-
-
-@dataclass
-class PmRunReport:
-    config: PmConfig
-    steps: int
+class PmRunReport(RunReport):
     mapped_vertices: int  # M: window vertices plus one per step
-    first_low_step: int | None
-    termination: str
-    image: SimplicialComplex
     pseudomanifold: bool
     dual_diameter: int | None
     diameter_lower: float
-    records: list[TrajectoryRecord]
-    first_band_exit: int | None
-
-
-def pm_default_tracked_family(config: PmConfig):
-    """Boundaries of random (d-1)-faces plus one link-shaped complex (the
-    codimension-2 faces of SC_d(2d+2), v_A = 2(d+1))."""
-    n, d = config.n, config.d
-    max_v, max_size = _pm_family_bounds(d)
-    rng = random.Random(config.seed ^ TRACKER_SEED_SALT)
-    tracked = []
-    for name, faces in config.track:
-        tracked.append(tracked_complex(name, faces, d, max_v, max_size))
-    for idx in range(config.track_random):
-        face = sorted(rng.sample(range(1, n + 1), d))
-        tracked.append(
-            tracked_complex(f"rand{idx}", face_boundary(face), d, max_v, max_size)
-        )
-    if config.track_link:
-        w = rng.sample(range(1, n + 1), 2 * d + 2)
-        faces = set()
-        for a in range(0, d + 2):  # the d+2 windows of SC_d(2d+2)
-            window = w[a : a + d + 1]
-            faces.update(
-                tuple(sorted(sub)) for sub in combinations(window, d - 1)
-            )
-        tracked.append(tracked_complex("link", sorted(faces), d, max_v, max_size))
-    return tracked
-
-
-def pm_init(config: PmConfig) -> PmState:
-    """Choose the starting (d+1)-simplex and close all its (d-1)-faces."""
-    config.validate()
-    n, d = config.n, config.d
-    rng = random.Random(config.seed)
-    start = rng.sample(range(1, n + 1), d + 2)
-    base = n + 1
-    closed_faces = [tuple(sorted(c)) for c in combinations(start, d)]
-    state = PmState(
-        config=config,
-        phi=list(start),
-        closed_keys={face_key(f, base) for f in closed_faces},
-        step=0,
-        rng=rng,
-    )
-    if config.record_every > 0:
-        state.tracker = TrajectoryTracker(
-            n=n, period=3 * d + 4, tracked=pm_default_tracked_family(config)
-        )
-        for f in closed_faces:
-            state.tracker.note_closure(f, 0)
-    return state
-
-
-def _pm_scan(state: PmState) -> tuple[int, list[int]]:
-    cfg = state.config
-    n, d = cfg.n, cfg.d
-    window = tuple(sorted(state.phi[-(d + 1) :]))
-    taus = list(combinations(window, d - 1))
-    return scan_available(
-        n=n,
-        base=n + 1,
-        closed=state.closed_keys,
-        window=set(window),
-        taus=taus,
-        recent=set(state.phi[-2 * (d + 1) :]),
-    )
-
-
-def pm_candidates(state: PmState) -> list[int]:
-    return _pm_scan(state)[1]
-
-
-def pm_step(state: PmState) -> bool:
-    """Advance one step; closes binom(d+1,2) faces. False on exhaustion."""
-    cfg = state.config
-    d = cfg.d
-    avail, choice = _pm_scan(state)
-    if state.first_low_step is None and avail <= 2 * (d + 1):
-        state.first_low_step = state.step
-    if not choice:
-        return False
-    v = choice[state.rng.randrange(len(choice))]
-    window = tuple(sorted(state.phi[-(d + 1) :]))
-    base = cfg.n + 1
-    round_no = state.step + 1
-    for tau in combinations(window, d - 1):
-        face = tuple(sorted(tau + (v,)))
-        key = face_key(face, base)
-        assert key not in state.closed_keys
-        state.closed_keys.add(key)
-        if state.tracker is not None:
-            state.tracker.note_closure(face, round_no)
-    state.phi.append(v)
-    state.step += 1
-    return True
-
-
-def _pm_record(state: PmState, avail: int) -> TrajectoryRecord:
-    cfg = state.config
-    n, d = cfg.n, cfg.d
-    i = state.step
-    t = i / n**d
-    p = pm_p(n, d, i)
-    period = 3 * d + 4
-    try:
-        e_val = pm_error_function(d, p)
-        band = band_halfwidth(n, e_val)
-    except OutOfRegime:
-        e_val = band = None
-    tracker = state.tracker
-    tracker.snapshot(i)
-    entries: dict[str, TrajectoryEntry] = {}
-    for tc in tracker.tracked:
-        w = tuple(tracker.w[tc.name])
-        y = tracker.y_value(tc.name)
-        pred = n * p**tc.size if p >= 0 else None
-        z = None
-        if band is not None:
-            z = tuple(z_statistic(wj, n, p, tc.size, e_val, period) for wj in w)
-        entries[tc.name] = TrajectoryEntry(
-            size=tc.size, y=y, w=w, pred=pred, band=band, z=z
-        )
-    return TrajectoryRecord(step=i, t=t, p=p, terminal_y=avail, entries=entries)
 
 
 def pm_run(config: PmConfig) -> PmRunReport:
     """Run to exhaustion, assemble the boundary-corridor image, verify."""
-    from .corridor import first_band_exit
-
-    state = pm_init(config)
-    records: list[TrajectoryRecord] = []
-    stride = config.record_every
-    if stride > 0:
-        avail0, _ = _pm_scan(state)
-        records.append(_pm_record(state, avail0))
-    while True:
-        if not pm_step(state):
-            break
-        if stride > 0 and state.step % stride == 0:
-            avail, _ = _pm_scan(state)
-            records.append(_pm_record(state, avail))
+    state, records = simulate(config)
     d = config.d
     m = len(state.phi)
     structural = boundary_corridor(d, m)
@@ -297,7 +105,6 @@ def pm_run(config: PmConfig) -> PmRunReport:
         steps=state.step,
         mapped_vertices=m,
         first_low_step=state.first_low_step,
-        termination="exhausted",
         image=image,
         pseudomanifold=pm_flag,
         dual_diameter=dual_diameter,
@@ -309,12 +116,11 @@ def pm_run(config: PmConfig) -> PmRunReport:
     return report
 
 
-def _verify_pm_run(report: PmRunReport, state: PmState, structural: SimplicialComplex):
-    cfg = report.config
-    d = cfg.d
-    expected_closed = math.comb(d + 2, d) + pm_rate(d) * report.steps
-    if len(state.closed_keys) != expected_closed:
-        raise VerificationError("closed-face count off: a face repeated")
+def _verify_pm_run(
+    report: PmRunReport, state: ProcessState, structural: SimplicialComplex
+):
+    d = report.config.d
+    verify_process(state)
     if len(report.image.facets) != len(structural.facets):
         raise VerificationError("image not injective on d-faces")
     structural_low = k_faces(structural, d - 1)
@@ -326,7 +132,8 @@ def _verify_pm_run(report: PmRunReport, state: PmState, structural: SimplicialCo
     fv = f_vector(report.image)
     if 2 * fv[d - 1] != (d + 1) * fv[d]:
         raise VerificationError("degree-sum identity 2 f_{d-1} = (d+1) f_d broken")
-    if state.tracker is not None:
-        for tc in state.tracker.tracked:
-            if not state.tracker.identity_holds(tc):
-                raise VerificationError(f"Y/W identity broken for {tc.name}")
+    if report.dual_diameter is not None and report.dual_diameter < report.diameter_lower:
+        raise VerificationError(
+            f"dual diameter {report.dual_diameter} is below the lower bound "
+            f"{report.diameter_lower}"
+        )

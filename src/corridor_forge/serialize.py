@@ -18,7 +18,7 @@ import jsonschema
 from .complexes import SimplicialComplex, complex_from_facets
 from .corridor import ProcessConfig, RunReport, TrajectoryRecord, volume_bound_steps
 from .errors import InvalidParams
-from .pm import PmConfig, PmRunReport
+from .pm import PmRunReport
 
 COMPLEX_SCHEMA = {
     "type": "object",
@@ -110,7 +110,7 @@ def _record_to_dict(rec: TrajectoryRecord) -> dict:
     }
 
 
-def _config_to_dict(cfg: ProcessConfig | PmConfig) -> dict:
+def _config_to_dict(cfg: ProcessConfig) -> dict:
     out = {
         "n": cfg.n,
         "d": cfg.d,
@@ -127,44 +127,37 @@ def _config_to_dict(cfg: ProcessConfig | PmConfig) -> dict:
     return out
 
 
-def corridor_report_to_dict(report: RunReport) -> dict:
-    return {
-        "mode": "corridor",
+def report_to_dict(report: RunReport) -> dict:
+    """The report as a JSON-ready dict; keys are sorted when written."""
+    obj = {
         "config": _config_to_dict(report.config),
         "steps": report.steps,
-        "path_length": report.path_length,
         "first_low_step": report.first_low_step,
         "first_band_exit": report.first_band_exit,
-        "termination": report.termination,
-        "volume_bound": volume_bound_steps(report.config.n, report.config.d),
+        "termination": "exhausted",  # every run ends when no vertex is eligible
         "image": complex_to_dict(report.image),
         "trajectory": [_record_to_dict(r) for r in report.records],
     }
-
-
-def pm_report_to_dict(report: PmRunReport) -> dict:
-    return {
-        "mode": "pm",
-        "config": _config_to_dict(report.config),
-        "steps": report.steps,
-        "mapped_vertices": report.mapped_vertices,
-        "first_low_step": report.first_low_step,
-        "first_band_exit": report.first_band_exit,
-        "termination": report.termination,
-        "pseudomanifold": report.pseudomanifold,
-        "diameter": report.dual_diameter,
-        "diameter_lower": report.diameter_lower,
-        "image": complex_to_dict(report.image),
-        "trajectory": [_record_to_dict(r) for r in report.records],
-    }
-
-
-def report_json(report: RunReport | PmRunReport) -> str:
-    """Canonical, byte-stable JSON serialization of a run report."""
     if isinstance(report, PmRunReport):
-        obj = pm_report_to_dict(report)
+        obj.update(
+            mode="pm",
+            mapped_vertices=report.mapped_vertices,
+            pseudomanifold=report.pseudomanifold,
+            diameter=report.dual_diameter,
+            diameter_lower=report.diameter_lower,
+        )
     else:
-        obj = corridor_report_to_dict(report)
+        obj.update(
+            mode="corridor",
+            path_length=report.steps,
+            volume_bound=volume_bound_steps(report.config.n, report.config.d),
+        )
+    return obj
+
+
+def report_json(report: RunReport) -> str:
+    """Canonical, byte-stable JSON serialization of a run report."""
+    obj = report_to_dict(report)
     jsonschema.validate(obj, REPORT_SCHEMA)
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 

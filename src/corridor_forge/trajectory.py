@@ -3,8 +3,8 @@
 A tracked subcomplex A is a set of (d-2)-faces. The tracker maintains
 Y_A = { v outside A : no closed face is tau + {v} for tau in A } and the
 removal counters W_{A,j}, where j is the step number modulo the
-subsequence period (3d+1 for the corridor process, 3d+4 for the
-pseudomanifold process). The identity
+subsequence period 3w+1 for a window of w vertices (3d+1 for the corridor
+process, 3d+4 for the pseudomanifold process). The identity
 
     Y_A = n - v_A - sum_j W_{A,j}
 
@@ -19,7 +19,7 @@ from itertools import combinations
 from math import exp
 
 from .complexes import Face, make_face
-from .errors import InvalidTrackedComplex, NotRecorded, OutOfRegime
+from .errors import InvalidTrackedComplex, OutOfRegime
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,6 @@ class TrajectoryTracker:
             self.w[tc.name] = [0] * period
             for f in tc.faces:
                 self.index.setdefault(f, []).append(tc.name)
-        self.snapshots: dict[int, TrackerSnapshot] = {}
 
     def note_closure(self, face: Face, round_no: int):
         """Process one newly closed (d-1)-face at the given round number."""
@@ -102,9 +101,6 @@ class TrajectoryTracker:
                     ys.remove(v)
                     self.w[name][j] += 1
 
-    def y_value(self, name: str) -> int:
-        return len(self.y_sets[name])
-
     def identity_holds(self, tc: TrackedComplex) -> bool:
         return (
             len(self.y_sets[tc.name]) + tc.v_count + sum(self.w[tc.name])
@@ -112,18 +108,12 @@ class TrajectoryTracker:
         )
 
     def snapshot(self, step: int) -> TrackerSnapshot:
-        snap = TrackerSnapshot(
+        """The current Y_A and W_{A,j} of every tracked complex."""
+        return TrackerSnapshot(
             step=step,
             y={tc.name: len(self.y_sets[tc.name]) for tc in self.tracked},
             w={tc.name: tuple(self.w[tc.name]) for tc in self.tracked},
         )
-        self.snapshots[step] = snap
-        return snap
-
-    def w_at(self, name: str, step: int) -> tuple[int, ...]:
-        if step not in self.snapshots:
-            raise NotRecorded(f"step {step} was not recorded")
-        return self.snapshots[step].w[name]
 
 
 def predicted_y(n: int, p: float, size_a: int) -> float:

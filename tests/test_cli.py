@@ -1,8 +1,14 @@
 import csv
+import gc
 import json
+import warnings
 
+import pytest
+
+from corridor_forge import corridor
 from corridor_forge.cli import main
 from corridor_forge.complexes import boundary_corridor
+from corridor_forge.errors import VerificationError
 from corridor_forge.serialize import save_complex
 
 
@@ -41,6 +47,22 @@ class TestGenerate:
         assert obj["mode"] == "pm"
         assert obj["pseudomanifold"] is True
 
+    @pytest.mark.parametrize("command", ["generate-corridor", "generate-pm"])
+    def test_negative_counts_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "run.json"
+        code, captured = _run(
+            capsys,
+            [
+                command,
+                "--n", "40", "--d", "2", "--seed", "0",
+                "--record-every", "-5", "--track-random", "-3",
+                "--out", str(out),
+            ],
+        )
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert not out.exists()
+
     def test_invalid_params_exit_code(self, capsys):
         code, captured = _run(
             capsys, ["generate-corridor", "--n", "5", "--d", "2", "--seed", "0"]
@@ -76,6 +98,19 @@ class TestBoundsOracle:
         rows = json.loads(captured.out)
         assert len(rows) == 2
         assert rows[0]["hs_exact"] == 21.0
+
+    def test_bounds_csv_out_closes_file(self, tmp_path, capsys):
+        out = tmp_path / "bounds.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code, _ = _run(
+                capsys,
+                ["bounds", "--n", "10", "--d", "2", "--format", "csv", "--out", str(out)],
+            )
+            gc.collect()
+        assert code == 0
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert out.read_text().startswith("n,d,hs_exact")
 
     def test_bounds_csv(self, capsys):
         code, captured = _run(
@@ -113,3 +148,60 @@ class TestExperiment:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert float(rows[0]["ratio"]) <= 1.0
+
+
+class TestFrontDoor:
+    """Bad input prints one error line and exits 1, never a traceback."""
+
+    def _experiment(self, tmp_path, capsys, spec_text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(spec_text)
+        return _run(
+            capsys,
+            ["experiment", "--spec", str(spec), "--out-dir", str(tmp_path / "runs")],
+        )
+
+    @pytest.mark.parametrize(
+        "spec, missing",
+        [
+            ({"mode": "corridor", "d": [2], "seeds": [1]}, "'n'"),
+            ({"mode": "pm", "n": [30], "seeds": [1]}, "'d'"),
+            ({"mode": "corridor", "n": [30], "d": [2]}, "'runs'"),
+        ],
+    )
+    def test_spec_missing_key(self, tmp_path, capsys, spec, missing):
+        code, captured = self._experiment(tmp_path, capsys, json.dumps(spec))
+        assert code == 1
+        assert captured.err.startswith("error:") and missing in captured.err
+
+    def test_spec_not_json(self, tmp_path, capsys):
+        code, captured = self._experiment(tmp_path, capsys, "{mode: corridor")
+        assert code == 1
+        assert captured.err.startswith("error:") and "not valid JSON" in captured.err
+
+    def test_spec_negative_count(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CORRIDOR_FORGE_THREADS", "1")
+        spec = {"mode": "corridor", "n": [30], "d": [2], "seeds": [1], "record_every": -1}
+        code, captured = self._experiment(tmp_path, capsys, json.dumps(spec))
+        assert code == 1
+        assert captured.err.startswith("error:") and ">= 0" in captured.err
+
+    def test_threads_not_integer(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CORRIDOR_FORGE_THREADS", "abc")
+        spec = {"mode": "corridor", "n": [30], "d": [2], "seeds": [1, 2]}
+        code, captured = self._experiment(tmp_path, capsys, json.dumps(spec))
+        assert code == 1
+        assert captured.err.startswith("error:") and "CORRIDOR_FORGE_THREADS" in captured.err
+
+    def test_verification_error_names_seed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CORRIDOR_FORGE_THREADS", "1")
+
+        def fail(report, state):
+            raise VerificationError("forced failure")
+
+        monkeypatch.setattr(corridor, "verify_run", fail)
+        spec = {"mode": "corridor", "n": [30], "d": [2], "seeds": [4]}
+        code, captured = self._experiment(tmp_path, capsys, json.dumps(spec))
+        assert code == 1
+        assert "n=30 d=2" in captured.err
+        assert "seed 4" in captured.err and "forced failure" in captured.err

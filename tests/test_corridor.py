@@ -1,7 +1,9 @@
+import json
 import math
 
 import pytest
 
+from corridor_forge import corridor
 from corridor_forge.corridor import (
     ProcessConfig,
     candidates,
@@ -15,15 +17,15 @@ from corridor_forge.corridor import (
     run,
     step,
     volume_bound_steps,
-    z_value,
 )
 from corridor_forge.dual import build_dual, is_induced_path
 from corridor_forge.errors import (
     InvalidParams,
     InvalidTrackedComplex,
-    NotRecorded,
     OutOfRegime,
 )
+from corridor_forge.pm import PmConfig, pm_run
+from corridor_forge.serialize import report_json
 
 
 class TestInit:
@@ -45,6 +47,12 @@ class TestInit:
     def test_d1_rejected(self):
         with pytest.raises(InvalidParams):
             init(ProcessConfig(n=30, d=1, seed=0))
+
+    @pytest.mark.parametrize("config_cls", [ProcessConfig, PmConfig])
+    @pytest.mark.parametrize("field", ["record_every", "track_random"])
+    def test_negative_counts_rejected(self, config_cls, field):
+        with pytest.raises(InvalidParams, match=">= 0"):
+            init(config_cls(n=40, d=2, seed=0, **{field: -1}))
 
     def test_tracker_created_with_recording(self):
         state = init(ProcessConfig(n=30, d=2, seed=1, record_every=5))
@@ -74,6 +82,26 @@ class TestStep:
         for _ in range(20):
             assert step(a) == step(b)
         assert a.phi == b.phi
+
+    @pytest.mark.parametrize(
+        "process, cfg",
+        [
+            (run, ProcessConfig(n=40, d=2, seed=2, record_every=25)),
+            (run, ProcessConfig(n=20, d=3, seed=4, record_every=10)),
+            (pm_run, PmConfig(n=40, d=2, seed=5, record_every=10)),
+        ],
+    )
+    def test_one_scan_per_state(self, monkeypatch, process, cfg):
+        calls = []
+        real = corridor.scan_available
+
+        def counting(**kwargs):
+            calls.append(kwargs["n"])
+            return real(**kwargs)
+
+        monkeypatch.setattr(corridor, "scan_available", counting)
+        report = process(cfg)
+        assert len(calls) == report.steps + 1
 
     def test_recording_does_not_change_run(self):
         plain = run(ProcessConfig(n=40, d=2, seed=5))
@@ -164,24 +192,16 @@ class TestTrackerIdentity:
             for tc in tracker.tracked:
                 assert tracker.identity_holds(tc)
 
-    def test_z_value_and_not_recorded(self):
-        state = init(ProcessConfig(n=40, d=2, seed=7, record_every=1))
-        tracker = state.tracker
-        tracker.snapshot(0)
-        z = z_value(tracker, "rand0", j=0, ell=0, n=40, d=2)
-        assert z < 0  # the half-band dwarfs any single counter
-        with pytest.raises(NotRecorded):
-            z_value(tracker, "rand0", j=3, ell=1, n=40, d=2)
-
 
 class TestRun:
     def test_report_invariants(self):
         report = run(ProcessConfig(n=40, d=2, seed=2))
+        serialized = json.loads(report_json(report))
         assert len(report.image.facets) == report.steps + 1
-        assert report.path_length == report.steps
+        assert serialized["path_length"] == report.steps
         assert report.steps <= volume_bound_steps(40, 2)
         assert is_induced_path(build_dual(report.image, 2))
-        assert report.termination == "exhausted"
+        assert serialized["termination"] == "exhausted"
         assert report.first_low_step is not None
 
     def test_d3_run(self):

@@ -2,65 +2,67 @@ import math
 
 import pytest
 
+from corridor_forge import pm
 from corridor_forge.complexes import boundary_corridor, f_vector
+from corridor_forge.corridor import (
+    candidates,
+    default_tracked_family,
+    init,
+    step,
+    volume_bound_steps,
+)
 from corridor_forge.dual import build_dual, caccetta_smyth_bound, diameter
-from corridor_forge.errors import InvalidParams, OutOfRegime
+from corridor_forge.errors import InvalidParams, OutOfRegime, VerificationError
 from corridor_forge.pm import (
+    PM,
     PmConfig,
     hpm_upper,
-    hs_upper,
-    pm_candidates,
-    pm_default_tracked_family,
     pm_diameter_lower,
     pm_error_band,
     pm_error_function,
-    pm_init,
-    pm_p,
-    pm_predicted_Y,
     pm_rate,
     pm_run,
-    pm_step,
 )
 
 
 class TestInit:
     def test_contracts(self):
-        state = pm_init(PmConfig(n=40, d=2, seed=1))
+        state = init(PmConfig(n=40, d=2, seed=1))
         assert len(state.phi) == 4
         assert len(state.closed_keys) == 6  # C(4, 2)
         assert state.step == 0
 
     def test_small_n_guard(self):
         with pytest.raises(InvalidParams):
-            pm_init(PmConfig(n=10, d=2, seed=0))
+            init(PmConfig(n=10, d=2, seed=0))
 
     def test_small_n_opt_in(self):
-        state = pm_init(PmConfig(n=10, d=2, seed=0, allow_small_n=True))
+        state = init(PmConfig(n=10, d=2, seed=0, allow_small_n=True))
         assert len(state.phi) == 4
 
     def test_tracker_period(self):
-        state = pm_init(PmConfig(n=40, d=2, seed=1, record_every=5))
+        state = init(PmConfig(n=40, d=2, seed=1, record_every=5))
         assert state.tracker.period == 10
 
 
 class TestStep:
     def test_candidates_exclude_window(self):
-        state = pm_init(PmConfig(n=40, d=2, seed=3))
-        cand = pm_candidates(state)
+        state = init(PmConfig(n=40, d=2, seed=3))
+        cand = candidates(state)
         assert len(cand) == 40 - 4
         assert not set(cand) & set(state.phi)
 
     def test_closures_per_step(self):
-        state = pm_init(PmConfig(n=40, d=2, seed=3))
+        state = init(PmConfig(n=40, d=2, seed=3))
         before = len(state.closed_keys)
-        assert pm_step(state)
+        assert step(state)
         assert len(state.closed_keys) == before + pm_rate(2)
 
     def test_determinism(self):
-        a = pm_init(PmConfig(n=40, d=2, seed=9))
-        b = pm_init(PmConfig(n=40, d=2, seed=9))
+        a = init(PmConfig(n=40, d=2, seed=9))
+        b = init(PmConfig(n=40, d=2, seed=9))
         for _ in range(20):
-            assert pm_step(a) == pm_step(b)
+            assert step(a) == step(b)
         assert a.phi == b.phi
 
 
@@ -70,14 +72,14 @@ class TestFormulas:
         assert pm_rate(3) == 6
 
     def test_p_and_prediction(self):
-        assert pm_p(100, 2, 0) == 1.0
-        assert pm_predicted_Y(100, 2, 0, 3) == 100.0
+        assert PM.p(100, 2, 0) == 1.0
+        assert PM.predicted_Y(100, 2, 0, 3) == 100.0
         # p = 1 - 6 * 1250 / 10000 = 0.25
-        assert pm_predicted_Y(100, 2, 1250, 1) == pytest.approx(25.0)
+        assert PM.predicted_Y(100, 2, 1250, 1) == pytest.approx(25.0)
 
     def test_prediction_out_of_regime(self):
         with pytest.raises(OutOfRegime):
-            pm_predicted_Y(100, 2, 2000, 2)
+            PM.predicted_Y(100, 2, 2000, 2)
 
     def test_error_function_at_one(self):
         assert pm_error_function(2, 1.0) == pytest.approx(math.exp(32))
@@ -101,16 +103,16 @@ class TestFormulas:
         assert diameter(g) >= pm_diameter_lower(30, 2)
 
     def test_upper_bounds(self):
-        assert hs_upper(10, 2) == pytest.approx(21.0)
+        assert volume_bound_steps(10, 2) == pytest.approx(21.0)
         assert hpm_upper(10, 2) == pytest.approx(11.0)
         with pytest.raises(InvalidParams):
-            hs_upper(2, 2)
+            volume_bound_steps(2, 2)
 
 
 class TestTrackedFamily:
     def test_link_shape(self):
         cfg = PmConfig(n=40, d=2, seed=0, track_random=0)
-        (link,) = pm_default_tracked_family(cfg)
+        (link,) = default_tracked_family(cfg)
         assert link.v_count == 6  # 2(d+1) vertices
         assert link.size <= 2 + 4 * math.comb(2, 2) + 10
 
@@ -149,3 +151,15 @@ class TestRun:
                 # v_A recoverable: n - y - sum(w)
                 assert 0 <= 40 - entry.y - sum(entry.w) <= 6
         assert report.first_band_exit is None
+
+
+class TestSandwich:
+    def test_diameter_below_lower_bound_rejected(self, monkeypatch):
+        monkeypatch.setattr(pm, "pm_diameter_lower", lambda N, d: 1e9)
+        with pytest.raises(VerificationError, match="below the lower bound"):
+            pm_run(PmConfig(n=40, d=2, seed=1))
+
+    def test_no_check_without_diameter(self, monkeypatch):
+        monkeypatch.setattr(pm, "pm_diameter_lower", lambda N, d: 1e9)
+        report = pm_run(PmConfig(n=40, d=2, seed=1, compute_diameter=False))
+        assert report.dual_diameter is None
