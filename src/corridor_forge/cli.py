@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import experiments, serialize
 from .corridor import ProcessConfig, run
-from .errors import CorridorForgeError, InvalidParams
+from .errors import CorridorForgeError
 from .gf2 import reduced_betti
 from .pm import PmConfig, pm_run
 
@@ -91,12 +91,7 @@ def _cmd_johnson_oracle(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    with open(args.spec) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise InvalidParams(f"{args.spec} is not valid JSON: {err}") from None
-    spec = experiments.ExperimentSpec.from_dict(obj)
+    spec = experiments.ExperimentSpec.from_dict(serialize.read_json(args.spec))
     summary = experiments.run_experiment(spec, args.out_dir)
     _write_json(summary, None)
     return 0

@@ -1,10 +1,15 @@
 """Closed-face bookkeeping shared by the two mapping processes.
 
-Faces are stored as integer keys (base-(n+1) digits of the sorted vertex
-tuple) so the hot candidate scan hashes small ints instead of tuples.
+Closed (d-1)-faces are kept twice. ``face_key`` gives each one an integer
+key (base-(n+1) digits of the sorted vertex tuple) for the set of closed
+faces. The closure index maps each (d-2)-face tau, as a sorted tuple, to a
+Python-int bitmask with bit v set when tau + {v} is closed, so the
+candidate scan is a few big-int operations instead of a pass over [n].
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 
 def face_key(vs, base: int) -> int:
@@ -14,59 +19,68 @@ def face_key(vs, base: int) -> int:
     return key
 
 
-def merged_key(tau, v: int, base: int) -> int:
-    """Key of the sorted face tau + {v}, for tau already sorted."""
-    key = 0
-    placed = False
-    for x in tau:
-        if not placed and v < x:
-            key = key * base + v
-            placed = True
-        key = key * base + x
-    if not placed:
-        key = key * base + v
-    return key
+def close_face(masks: dict[tuple[int, ...], int], face: tuple[int, ...]):
+    """Enter the sorted face into the closure index: for each vertex v of
+    the face, set bit v in the mask of the (d-2)-face face - {v}."""
+    for i, v in enumerate(face):
+        tau = face[:i] + face[i + 1 :]
+        masks[tau] = masks.get(tau, 0) | (1 << v)
+
+
+class BitChoices:
+    """The set bits of an int as a read-only sorted sequence: ``len`` is
+    the popcount and ``[k]`` the k-th smallest set bit, found by bisecting
+    on prefix popcounts without building the list."""
+
+    __slots__ = ("bits", "size")
+
+    def __init__(self, bits: int):
+        self.bits = bits
+        self.size = bits.bit_count()
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, k: int) -> int:
+        if not 0 <= k < self.size:
+            raise IndexError("choice index out of range")
+        bits = self.bits
+        # invariant: fewer than k+1 set bits below lo, at least k+1 below hi
+        lo, hi = 0, bits.bit_length()
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            if (bits & ((1 << mid) - 1)).bit_count() <= k:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    def __iter__(self):
+        bits = self.bits
+        while bits:
+            low = bits & -bits
+            yield low.bit_length() - 1
+            bits ^= low
 
 
 def scan_available(
+    *,
     n: int,
-    base: int,
-    closed: set[int],
-    window: set[int],
-    taus: list[tuple[int, ...]],
-    recent: set[int],
-) -> tuple[int, list[int]]:
-    """One pass over [n]: (count of closure-free vertices outside the
-    window, sorted choice list additionally excluding recent images)."""
-    count = 0
-    choice: list[int] = []
-    if all(len(tau) == 1 for tau in taus):
-        # d = 2: each tau is a single vertex, keys are vertex pairs
-        anchors = [tau[0] for tau in taus]
-        for v in range(1, n + 1):
-            if v in window:
-                continue
-            ok = True
-            for a in anchors:
-                key = a * base + v if a < v else v * base + a
-                if key in closed:
-                    ok = False
-                    break
-            if ok:
-                count += 1
-                if v not in recent:
-                    choice.append(v)
-        return count, choice
-    for v in range(1, n + 1):
-        if v in window:
-            continue
-        ok = True
-        for tau in taus:
-            if merged_key(tau, v, base) in closed:
-                ok = False
-                break
-        if ok:
-            count += 1
-            if v not in recent:
-                choice.append(v)
-    return count, choice
+    masks: dict[tuple[int, ...], int],
+    window: Iterable[int],
+    taus: Iterable[tuple[int, ...]],
+    recent: Iterable[int],
+) -> tuple[int, BitChoices]:
+    """(count of vertices in [n] outside the window that close no closed
+    face with any tau, those vertices additionally outside ``recent`` as
+    sorted choices). ``recent`` contains the window."""
+    blocked = 0
+    for tau in taus:
+        blocked |= masks.get(tau, 0)
+    for v in window:
+        blocked |= 1 << v
+    avail = ((1 << (n + 1)) - 2) & ~blocked
+    recent_bits = 0
+    for v in recent:
+        recent_bits |= 1 << v
+    return avail.bit_count(), BitChoices(avail & ~recent_bits)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, ClassVar
 
-from .closure import face_key, scan_available
+from .closure import BitChoices, close_face, face_key, scan_available
 from .complexes import Face, SimplicialComplex
 from .dual import build_dual, is_induced_path
 from .errors import InvalidParams, OutOfRegime, VerificationError
@@ -158,6 +158,7 @@ class ProcessState:
     config: ProcessConfig
     phi: list[int]
     closed_keys: set[int]
+    masks: dict[tuple[int, ...], int]
     step: int
     rng: random.Random
     tracker: TrajectoryTracker | None = None
@@ -239,9 +240,12 @@ def init(config: ProcessConfig) -> ProcessState:
         config=config,
         phi=list(start),
         closed_keys={face_key(f, base) for f in closed_faces},
+        masks={},
         step=0,
         rng=rng,
     )
+    for f in closed_faces:
+        close_face(state.masks, f)
     if config.record_every > 0:
         state.tracker = TrajectoryTracker(
             n=n, period=config.spec.period(d), tracked=default_tracked_family(config)
@@ -251,32 +255,31 @@ def init(config: ProcessConfig) -> ProcessState:
     return state
 
 
-def _scan(state: ProcessState) -> tuple[int, list[int]]:
-    """One pass over [n]: returns (|X_k|, choice list).
+def _scan(state: ProcessState) -> tuple[int, BitChoices]:
+    """Returns (|X_k|, choices) from the closure index.
 
     X_k is the set of vertices outside the window that close no
-    already-closed face; the choice list further excludes the images of
-    the previous 2w mapped vertices.
+    already-closed face; the choices further exclude the images of the
+    previous 2w mapped vertices.
     """
     cfg = state.config
-    n, w = cfg.n, cfg.spec.width(cfg.d)
+    w = cfg.spec.width(cfg.d)
     window = tuple(sorted(state.phi[-w:]))
     return scan_available(
-        n=n,
-        base=n + 1,
-        closed=state.closed_keys,
-        window=set(window),
-        taus=list(combinations(window, cfg.d - 1)),
-        recent=set(state.phi[-2 * w :]),
+        n=cfg.n,
+        masks=state.masks,
+        window=window,
+        taus=combinations(window, cfg.d - 1),
+        recent=state.phi[-2 * w :],
     )
 
 
 def candidates(state: ProcessState) -> list[int]:
     """Vertices eligible for the next step, in increasing order."""
-    return _scan(state)[1]
+    return list(_scan(state)[1])
 
 
-def step(state: ProcessState, scan: tuple[int, list[int]] | None = None) -> bool:
+def step(state: ProcessState, scan: tuple[int, BitChoices] | None = None) -> bool:
     """Advance one step, closing C(w, d-1) faces. Returns False when the
     candidate set is empty. ``scan`` is this state's scan result when the
     caller already has it."""
@@ -297,6 +300,7 @@ def step(state: ProcessState, scan: tuple[int, list[int]] | None = None) -> bool
         key = face_key(face, base)
         assert key not in state.closed_keys
         state.closed_keys.add(key)
+        close_face(state.masks, face)
         if state.tracker is not None:
             state.tracker.note_closure(face, round_no)
     state.phi.append(v)
@@ -350,12 +354,15 @@ def simulate(config: ProcessConfig) -> tuple[ProcessState, list[TrajectoryRecord
 
 def verify_process(state: ProcessState):
     """Recheck what every exhausted run guarantees: no face was closed
-    twice and each tracked complex keeps Y_A = n - v_A - sum_j W_{A,j}."""
+    twice, the closure index holds each closed face once per vertex, and
+    each tracked complex keeps Y_A = n - v_A - sum_j W_{A,j}."""
     cfg = state.config
     d, spec = cfg.d, cfg.spec
     expected_closed = math.comb(spec.width(d) + 1, d) + spec.rate(d) * state.step
     if len(state.closed_keys) != expected_closed:
         raise VerificationError("closed-face count off: a face repeated")
+    if sum(m.bit_count() for m in state.masks.values()) != d * expected_closed:
+        raise VerificationError("closure index out of step with the closed faces")
     if state.tracker is not None:
         for tc in state.tracker.tracked:
             if not state.tracker.identity_holds(tc):

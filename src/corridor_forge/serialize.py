@@ -3,7 +3,8 @@
 The JSON complex object {"n": ..., "d": ..., "facets": [[...], ...]} with
 sorted facets and sorted vertices is the interchange unit for every CLI
 command; it is validated against the embedded schema on both read and
-write. Trajectory CSVs have fixed, documented columns (see CSV_COLUMNS).
+write, once per object (a run report's image is checked as part of the
+report). Trajectory CSVs have fixed, documented columns (see CSV_COLUMNS).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from typing import Any
 
 import jsonschema
 
@@ -52,12 +52,16 @@ REPORT_SCHEMA = {
 }
 
 
-def complex_to_dict(X: SimplicialComplex) -> dict:
-    obj = {
+def _complex_obj(X: SimplicialComplex) -> dict:
+    return {
         "n": X.n,
         "d": X.dim,
         "facets": [list(f) for f in X.sorted_facets()],
     }
+
+
+def complex_to_dict(X: SimplicialComplex) -> dict:
+    obj = _complex_obj(X)
     jsonschema.validate(obj, COMPLEX_SCHEMA)
     return obj
 
@@ -78,9 +82,24 @@ def save_complex(X: SimplicialComplex, path: str):
         fh.write("\n")
 
 
+def read_json(path: str):
+    """Parse a JSON file; a missing, unreadable or malformed file raises
+    InvalidParams."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as err:
+        raise InvalidParams(f"cannot read {path}: {err.strerror}") from None
+    except ValueError as err:  # JSONDecodeError or UnicodeDecodeError
+        raise InvalidParams(f"{path} is not valid JSON: {err}") from None
+
+
 def load_complex(path: str) -> SimplicialComplex:
-    with open(path) as fh:
-        return complex_from_dict(json.load(fh))
+    obj = read_json(path)
+    try:
+        return complex_from_dict(obj)
+    except jsonschema.ValidationError as err:
+        raise InvalidParams(f"{path} is not a complex object: {err.message}") from None
 
 
 def _finite_or_none(x: float | None) -> float | None:
@@ -128,14 +147,15 @@ def _config_to_dict(cfg: ProcessConfig) -> dict:
 
 
 def report_to_dict(report: RunReport) -> dict:
-    """The report as a JSON-ready dict; keys are sorted when written."""
+    """The report as a JSON-ready dict, validated once against
+    REPORT_SCHEMA; keys are sorted when written."""
     obj = {
         "config": _config_to_dict(report.config),
         "steps": report.steps,
         "first_low_step": report.first_low_step,
         "first_band_exit": report.first_band_exit,
         "termination": "exhausted",  # every run ends when no vertex is eligible
-        "image": complex_to_dict(report.image),
+        "image": _complex_obj(report.image),
         "trajectory": [_record_to_dict(r) for r in report.records],
     }
     if isinstance(report, PmRunReport):
@@ -152,14 +172,13 @@ def report_to_dict(report: RunReport) -> dict:
             path_length=report.steps,
             volume_bound=volume_bound_steps(report.config.n, report.config.d),
         )
+    jsonschema.validate(obj, REPORT_SCHEMA)
     return obj
 
 
 def report_json(report: RunReport) -> str:
     """Canonical, byte-stable JSON serialization of a run report."""
-    obj = report_to_dict(report)
-    jsonschema.validate(obj, REPORT_SCHEMA)
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(report_to_dict(report), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def csv_columns(period: int) -> list[str]:

@@ -14,9 +14,8 @@ round-0 removals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from math import exp
 
 from .complexes import Face, make_face
 from .errors import InvalidTrackedComplex, OutOfRegime

@@ -174,6 +174,38 @@ class TestFrontDoor:
         assert code == 1
         assert captured.err.startswith("error:") and missing in captured.err
 
+    def test_spec_missing_file(self, tmp_path, capsys):
+        code, captured = _run(
+            capsys,
+            ["experiment", "--spec", str(tmp_path / "missing.json"),
+             "--out-dir", str(tmp_path / "runs")],
+        )
+        assert code == 1
+        assert captured.err.startswith("error: cannot read") and "missing.json" in captured.err
+
+    @pytest.mark.parametrize("command", ["analyze", "homology"])
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("not json at all", "not valid JSON"),
+            ('{"n": 5, "facets": [[1, 2, 3]]}', "'d' is a required property"),
+            (None, "not a complex object"),  # a run report, not a complex
+            ("", "cannot read"),  # no file at the path
+        ],
+        ids=["not-json", "missing-d", "run-report", "missing-path"],
+    )
+    def test_bad_complex_file(self, tmp_path, capsys, command, content, message):
+        path = tmp_path / "input.json"
+        if content is None:
+            assert main(["generate-corridor", "--n", "20", "--d", "2", "--seed", "1",
+                         "--out", str(path)]) == 0
+        elif content:
+            path.write_text(content)
+        code, captured = _run(capsys, [command, str(path)])
+        assert code == 1
+        assert captured.err.startswith("error:") and message in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_spec_not_json(self, tmp_path, capsys):
         code, captured = self._experiment(tmp_path, capsys, "{mode: corridor")
         assert code == 1

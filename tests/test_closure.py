@@ -1,0 +1,87 @@
+"""The closure-index scan against the linear scan it replaced.
+
+``oracle_scan`` is the former candidate scan: one pass over [n] that looks
+up every face tau + {v} in the set of closed-face keys.
+"""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corridor_forge import corridor
+from corridor_forge.closure import BitChoices, face_key
+from corridor_forge.corridor import ProcessConfig, init, simulate, step, verify_process
+from corridor_forge.errors import VerificationError
+from corridor_forge.pm import PmConfig
+
+
+def merged_key(tau, v, base):
+    """Key of the sorted face tau + {v}, for tau already sorted."""
+    return face_key(sorted(tau + (v,)), base)
+
+
+def oracle_scan(state):
+    cfg = state.config
+    n, w = cfg.n, cfg.spec.width(cfg.d)
+    window = set(state.phi[-w:])
+    taus = list(combinations(sorted(window), cfg.d - 1))
+    recent = set(state.phi[-2 * w :])
+    count, choice = 0, []
+    for v in range(1, n + 1):
+        if v in window:
+            continue
+        if all(merged_key(tau, v, n + 1) not in state.closed_keys for tau in taus):
+            count += 1
+            if v not in recent:
+                choice.append(v)
+    return count, choice
+
+
+def assert_scan_matches(state):
+    count, choices = corridor._scan(state)
+    want_count, want = oracle_scan(state)
+    assert count == want_count
+    assert len(choices) == len(want)
+    assert list(choices) == want
+    assert [choices[k] for k in range(len(choices))] == want
+    with pytest.raises(IndexError):
+        choices[len(choices)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    config_cls=st.sampled_from([ProcessConfig, PmConfig]),
+    d=st.sampled_from([2, 3, 4]),
+    extra_n=st.integers(0, 10),
+    seed=st.integers(0, 2**32 - 1),
+    prefix=st.integers(0, 150),
+)
+def test_scan_matches_linear_oracle(config_cls, d, extra_n, seed, prefix):
+    w = config_cls.spec.width(d)
+    state = init(config_cls(n=w + 2 + extra_n, d=d, seed=seed, allow_small_n=True))
+    assert_scan_matches(state)
+    for _ in range(prefix):
+        if not step(state):
+            break
+        assert_scan_matches(state)
+
+
+@given(st.integers(0, 2**200))
+def test_bit_choices_is_the_sorted_set_bits(bits):
+    want = [v for v in range(bits.bit_length()) if bits >> v & 1]
+    choices = BitChoices(bits)
+    assert len(choices) == len(want)
+    assert list(choices) == want
+    assert [choices[k] for k in range(len(want))] == want
+
+
+@pytest.mark.parametrize("config", [ProcessConfig(n=30, d=3, seed=2), PmConfig(n=40, d=2, seed=2)])
+def test_verify_process_catches_broken_index(config):
+    state, _ = simulate(config)
+    verify_process(state)
+    tau, mask = next(iter(state.masks.items()))
+    state.masks[tau] = mask & (mask - 1)  # forget one closed face
+    with pytest.raises(VerificationError, match="closure index"):
+        verify_process(state)

@@ -1,10 +1,11 @@
 import csv
+import dataclasses
 import json
 
 import jsonschema
 import pytest
 
-from corridor_forge.complexes import boundary_corridor, straight_corridor
+from corridor_forge.complexes import SimplicialComplex, boundary_corridor, straight_corridor
 from corridor_forge.corridor import ProcessConfig, run
 from corridor_forge.errors import InvalidParams
 from corridor_forge.pm import PmConfig, pm_run
@@ -14,6 +15,7 @@ from corridor_forge.serialize import (
     csv_columns,
     load_complex,
     report_json,
+    report_to_dict,
     save_complex,
     write_trajectory_csv,
 )
@@ -64,6 +66,36 @@ class TestReportJson:
         last = obj["trajectory"][-1]
         for entry in last["entries"].values():
             assert entry["band"] is None or entry["band"] > 0
+
+
+class TestValidation:
+    """Each report is validated once, as a whole, against REPORT_SCHEMA."""
+
+    @pytest.mark.parametrize("serializer", [report_json, report_to_dict])
+    def test_one_validation_per_report(self, monkeypatch, serializer):
+        calls = []
+        real = jsonschema.validate
+
+        def counting(instance, schema, *args, **kwargs):
+            calls.append(schema)
+            return real(instance, schema, *args, **kwargs)
+
+        monkeypatch.setattr(jsonschema, "validate", counting)
+        serializer(run(ProcessConfig(n=30, d=2, seed=1)))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "facets", [{(0, 1, 2), (1, 2, 3)}, {(1, 2, 3), ()}], ids=["vertex-0", "empty-facet"]
+    )
+    def test_bad_image_rejected(self, tmp_path, facets):
+        bad = SimplicialComplex(n=5, facets=frozenset(facets))
+        report = dataclasses.replace(run(ProcessConfig(n=30, d=2, seed=1)), image=bad)
+        with pytest.raises(jsonschema.ValidationError):
+            report_json(report)
+        with pytest.raises(jsonschema.ValidationError):
+            report_to_dict(report)
+        with pytest.raises(jsonschema.ValidationError):
+            save_complex(bad, str(tmp_path / "bad.json"))
 
 
 class TestTrajectoryCsv:
