@@ -67,18 +67,20 @@ def scan_available(
     *,
     n: int,
     masks: dict[tuple[int, ...], int],
-    window: Iterable[int],
     taus: Iterable[tuple[int, ...]],
     recent: Iterable[int],
 ) -> tuple[int, BitChoices]:
-    """(count of vertices in [n] outside the window that close no closed
-    face with any tau, those vertices additionally outside ``recent`` as
-    sorted choices). ``recent`` contains the window."""
+    """(count of vertices in [n] that close no closed face with any tau,
+    those vertices additionally outside ``recent`` as sorted choices).
+
+    ``taus`` are the (d-2)-faces of the window. The count excludes the
+    window without a mask of its own: the start closes every d-subset of
+    its w+1 vertices and each step every new one containing the new
+    vertex, so each d-subset of the window is closed and blocks its
+    vertices. ``recent`` contains the window."""
     blocked = 0
     for tau in taus:
         blocked |= masks.get(tau, 0)
-    for v in window:
-        blocked |= 1 << v
     avail = ((1 << (n + 1)) - 2) & ~blocked
     recent_bits = 0
     for v in recent:

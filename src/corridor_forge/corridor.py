@@ -268,7 +268,6 @@ def _scan(state: ProcessState) -> tuple[int, BitChoices]:
     return scan_available(
         n=cfg.n,
         masks=state.masks,
-        window=window,
         taus=combinations(window, cfg.d - 1),
         recent=state.phi[-2 * w :],
     )

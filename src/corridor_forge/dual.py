@@ -95,15 +95,36 @@ def is_strongly_connected(X: SimplicialComplex, d: int) -> bool:
 
 
 def diameter(g: DualGraph) -> int:
-    """Graph diameter via BFS from every node."""
-    best = 0
-    for s in range(g.num_nodes):
-        dist = _bfs_distances(g, s)
-        far = max(dist)
-        if min(dist) < 0:
-            raise NotStronglyConnected("dual graph is disconnected")
-        best = max(best, far)
-    return best
+    """Exact graph diameter by iFUB (Crescenzi, Grossi, Habib, Lanzi,
+    Marino, TCS 2013).
+
+    A double sweep from the node a farthest from node 0 gives the lower
+    bound lb = ecc(a) and a far node b; a BFS from a middle node u of the
+    a-b path sorts the nodes by level. Walking the nodes from the top level
+    down, every pair not yet covered has both ends on level <= i and so
+    lies within distance 2i: the walk stops once lb >= 2i and otherwise
+    raises lb to the eccentricity of the next node. Long, thin duals need a
+    handful of BFS runs.
+    """
+    nv = g.num_nodes
+    if nv <= 1:
+        return 0
+    dist0 = _bfs_distances(g, 0)
+    if min(dist0) < 0:
+        raise NotStronglyConnected("dual graph is disconnected")
+    a = max(range(nv), key=dist0.__getitem__)
+    dist_a = _bfs_distances(g, a)
+    b = max(range(nv), key=dist_a.__getitem__)
+    lb = dist_a[b]
+    u = b
+    while dist_a[u] > lb // 2:
+        u = next(x for x in g.adj[u] if dist_a[x] == dist_a[u] - 1)
+    dist_u = _bfs_distances(g, u)
+    for x in sorted(range(nv), key=dist_u.__getitem__, reverse=True):
+        if lb >= 2 * dist_u[x]:
+            break
+        lb = max(lb, max(_bfs_distances(g, x)))
+    return lb
 
 
 def is_induced_path(g: DualGraph) -> bool:
@@ -153,7 +174,8 @@ def vertex_connectivity(g: DualGraph) -> int:
     Minimum over non-adjacent pairs of max-flow in the split network;
     a fixed minimum-degree endpoint s limits the pairs examined to
     (s, non-neighbor) plus non-adjacent pairs inside N(s). Complete
-    graphs return num_nodes - 1; a disconnected graph returns 0.
+    graphs return num_nodes - 1, a disconnected graph returns 0, and a
+    connected graph with a node of degree 1 returns 1 without a flow.
     """
     nv = g.num_nodes
     if nv < 2:
@@ -162,8 +184,12 @@ def vertex_connectivity(g: DualGraph) -> int:
         return 0
     if all(len(a) == nv - 1 for a in g.adj):
         return nv - 1
-    net = _split_flow_network(g)
     s = min(range(nv), key=lambda i: len(g.adj[i]))
+    if len(g.adj[s]) == 1:
+        # kappa <= min degree, and a connected graph has kappa >= 1;
+        # every corridor dual (an induced path) ends here without a flow
+        return 1
+    net = _split_flow_network(g)
     neighbors = set(g.adj[s])
     best = nv - 1
     for t in range(nv):

@@ -25,18 +25,20 @@ class Gf2Matrix:
 
 
 def rank_gf2(m: Gf2Matrix) -> int:
-    """Rank over GF(2) by Gaussian elimination on row bitmasks."""
-    work = [b for b in m.bits if b]
-    rank = 0
-    while work:
-        pivot_row = work.pop()
-        pivot_bit = pivot_row & -pivot_row
-        rank += 1
-        work = [
-            (r ^ pivot_row) if (r & pivot_bit) else r for r in work
-        ]
-        work = [r for r in work if r]
-    return rank
+    """Rank over GF(2): each row is reduced against a table of pivot rows
+    keyed by their lowest set bit until it vanishes or opens a new pivot.
+    XOR with the pivot sharing the row's lowest bit clears that bit and
+    touches only higher ones, so the pivots stay independent."""
+    pivots: dict[int, int] = {}
+    for row in m.bits:
+        while row:
+            low = row & -row
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = row
+                break
+            row ^= pivot
+    return len(pivots)
 
 
 def matmul_gf2(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:

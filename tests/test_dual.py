@@ -1,5 +1,10 @@
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import maximum_flow
 
+from corridor_forge import dual
 from corridor_forge.complexes import (
     boundary_complex_of_simplex,
     boundary_corridor,
@@ -8,6 +13,8 @@ from corridor_forge.complexes import (
 )
 from corridor_forge.dual import (
     DualGraph,
+    _bfs_distances,
+    _split_flow_network,
     build_dual,
     caccetta_smyth_bound,
     diameter,
@@ -23,6 +30,7 @@ from corridor_forge.errors import (
     NotStronglyConnected,
     RefusedSize,
 )
+from corridor_forge.pm import pm_diameter_lower
 
 
 def path_graph(k):
@@ -39,6 +47,75 @@ def cycle_graph(k):
     return DualGraph(
         nodes=[(i,) for i in range(k)],
         adj=[[(i - 1) % k, (i + 1) % k] for i in range(k)],
+    )
+
+
+def oracle_diameter(g):
+    """The former diameter: BFS from every node."""
+    best = 0
+    for s in range(g.num_nodes):
+        dist = _bfs_distances(g, s)
+        if min(dist) < 0:
+            raise NotStronglyConnected("dual graph is disconnected")
+        best = max(best, max(dist))
+    return best
+
+
+def oracle_connectivity(g):
+    """Menger by brute force: the minimum max-flow over every non-adjacent
+    pair of the unit-node-capacity split network; num_nodes - 1 when
+    every pair is adjacent."""
+    nv = g.num_nodes
+    net = _split_flow_network(g)
+    best = nv - 1
+    for s in range(nv):
+        for t in range(s + 1, nv):
+            if t not in g.adj[s]:
+                best = min(best, maximum_flow(net, 2 * s + 1, 2 * t).flow_value)
+    return best
+
+
+def graph_from_edges(k, edges):
+    adj = [set() for _ in range(k)]
+    for u, v in edges:
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    return DualGraph(nodes=[(i,) for i in range(k)], adj=[sorted(a) for a in adj])
+
+
+def to_networkx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.num_nodes))
+    h.add_edges_from((i, j) for i, a in enumerate(g.adj) for j in a if i < j)
+    return h
+
+
+@st.composite
+def trees_with_extra_edges(draw, max_nodes=24):
+    k = draw(st.integers(1, max_nodes))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, k)]
+    node = st.integers(0, k - 1)
+    edges += draw(st.lists(st.tuples(node, node), max_size=k))
+    label = draw(st.permutations(range(k)))
+    return graph_from_edges(k, [(label[u], label[v]) for u, v in edges])
+
+
+@st.composite
+def random_complex_duals(draw):
+    """Duals of random pure complexes; often disconnected."""
+    d = draw(st.integers(1, 3))
+    facet = st.sets(st.integers(1, d + 5), min_size=d + 1, max_size=d + 1)
+    facets = draw(st.lists(facet, min_size=1, max_size=14))
+    return build_dual(complex_from_facets([sorted(f) for f in facets]), d)
+
+
+def graphs(max_nodes):
+    return st.one_of(
+        st.integers(1, max_nodes).map(path_graph),
+        st.integers(3, max_nodes).map(cycle_graph),
+        trees_with_extra_edges(max_nodes),
+        random_complex_duals(),
     )
 
 
@@ -78,6 +155,66 @@ class TestDiameter:
     def test_disconnected(self):
         with pytest.raises(NotStronglyConnected):
             diameter(build_dual(complex_from_facets([[1, 2, 3], [4, 5, 6]]), 2))
+
+    def test_disconnected_node_zero_in_either_part(self):
+        # node 0 isolated, then node 0 inside the larger part
+        for edges in ([(1, 2), (2, 3)], [(0, 1), (1, 2)]):
+            with pytest.raises(NotStronglyConnected):
+                diameter(graph_from_edges(4, edges))
+
+    def test_level_pair_beyond_double_sweep(self):
+        # the double sweep finds 3; the pair at distance 4 sits on level 2
+        # of the middle node's BFS, so stopping at lb >= 2i - 1 misses it
+        adj = [[4, 7, 8], [3, 4], [6, 7], [1, 8, 9], [0, 1, 6, 8], [8],
+               [2, 4, 7], [0, 2, 6, 9], [0, 3, 4, 5], [3, 7]]
+        g = DualGraph(nodes=[(i,) for i in range(10)], adj=adj)
+        assert diameter(g) == oracle_diameter(g) == 4
+
+    def test_empty_graph(self):
+        assert diameter(DualGraph(nodes=[], adj=[])) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs(40))
+    def test_matches_all_pairs_oracle_and_networkx(self, g):
+        h = to_networkx(g)
+        if not nx.is_connected(h):
+            with pytest.raises(NotStronglyConnected):
+                diameter(g)
+            with pytest.raises(NotStronglyConnected):
+                oracle_diameter(g)
+            return
+        got = diameter(g)
+        assert got == oracle_diameter(g)
+        assert got == nx.diameter(h)
+
+
+class TestBfsBudget:
+    """A few BFS runs certify the diameter of a long, thin dual; the
+    all-pairs method would take one per node."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("N", [60, 61, 63])
+    @pytest.mark.parametrize("kind", ["straight", "boundary"])
+    def test_corridor_duals(self, monkeypatch, kind, N, d):
+        if kind == "straight":
+            g = build_dual(straight_corridor(d, N), d)
+            # the dual is a path on the N - d windows
+            want = N - d - 1
+        else:
+            g = build_dual(boundary_corridor(d, N), d)
+            # the all-pairs value at these sizes
+            want = d * N // (d + 1) - d + 1
+            assert want >= pm_diameter_lower(N, d)
+        assert oracle_diameter(g) == want
+        calls = []
+
+        def counting_bfs(graph, source):
+            calls.append(source)
+            return _bfs_distances(graph, source)
+
+        monkeypatch.setattr(dual, "_bfs_distances", counting_bfs)
+        assert diameter(g) == want
+        assert len(calls) <= 16
 
 
 class TestConnectivityPredicates:
@@ -129,6 +266,21 @@ class TestVertexConnectivity:
     def test_3d_pseudomanifold(self):
         g = build_dual(boundary_corridor(3, 9), 3)
         assert vertex_connectivity(g) == 4
+
+    def test_path_needs_no_flow(self, monkeypatch):
+        flows = []
+        monkeypatch.setattr(dual, "maximum_flow", lambda *a: flows.append(a))
+        for d in (2, 3, 4):
+            g = build_dual(straight_corridor(d, 60), d)
+            assert vertex_connectivity(g) == 1
+        assert flows == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(16).filter(lambda g: g.num_nodes >= 2))
+    def test_matches_flow_oracle_and_networkx(self, g):
+        got = vertex_connectivity(g)
+        assert got == nx.node_connectivity(to_networkx(g))
+        assert got == oracle_connectivity(g)
 
     def test_diameter_within_caccetta_smyth(self):
         for d, n in [(2, 6), (2, 10), (3, 8)]:

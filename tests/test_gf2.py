@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corridor_forge.complexes import (
     boundary_complex_of_simplex,
@@ -24,7 +26,67 @@ from corridor_forge.gf2 import (
 from util import random_small_complex
 
 
+def oracle_rank(m):
+    """The former rank: Gaussian elimination that clears the pivot bit
+    from every remaining row."""
+    work = [b for b in m.bits if b]
+    rank = 0
+    while work:
+        pivot_row = work.pop()
+        pivot_bit = pivot_row & -pivot_row
+        rank += 1
+        work = [(r ^ pivot_row) if (r & pivot_bit) else r for r in work]
+        work = [r for r in work if r]
+    return rank
+
+
+@st.composite
+def bit_matrices(draw):
+    """Random rows mixed with zero rows, dense rows and duplicates."""
+    cols = draw(st.integers(0, 80))
+    full = (1 << cols) - 1
+    word = st.integers(0, full)
+    row = st.one_of(
+        st.just(0),
+        word,
+        st.tuples(word, word).map(lambda ab: full & ~(ab[0] & ab[1])),
+    )
+    rows = draw(st.lists(row, max_size=40))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=10))
+    rows = draw(st.permutations(rows))
+    return Gf2Matrix(rows=len(rows), cols=cols, bits=rows)
+
+
+@st.composite
+def random_complexes(draw):
+    facet = st.sets(st.integers(1, 9), min_size=1, max_size=5)
+    facets = draw(st.lists(facet, min_size=1, max_size=12))
+    return complex_from_facets([sorted(f) for f in facets])
+
+
 class TestRank:
+    @settings(max_examples=300, deadline=None)
+    @given(bit_matrices())
+    def test_matches_elimination_oracle(self, m):
+        got = rank_gf2(m)
+        assert got == oracle_rank(m)
+        assert got <= min(m.rows, m.cols)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_complexes())
+    def test_boundary_matrices_match_oracle(self, X):
+        for k in range(X.dim + 2):
+            m = boundary_matrix(X, k)
+            assert rank_gf2(m) == oracle_rank(m)
+
+    @pytest.mark.parametrize("d,N", [(2, 30), (3, 20), (4, 14)])
+    def test_boundary_corridor_matrices_match_oracle(self, d, N):
+        X = boundary_corridor(d, N)
+        for k in range(d + 2):
+            m = boundary_matrix(X, k)
+            assert rank_gf2(m) == oracle_rank(m)
+
     def test_identity(self):
         m = Gf2Matrix(rows=4, cols=4, bits=[1, 2, 4, 8])
         assert rank_gf2(m) == 4
