@@ -14,7 +14,7 @@ from .complexes import (
     make_face,
     straight_corridor,
 )
-from .corridor import ProcessConfig, RunReport, error_band, i_end, predicted_Y, run
+from .corridor import CORRIDOR, ProcessConfig, RunReport, i_end, run
 from .dual import (
     DualGraph,
     build_dual,
@@ -35,11 +35,11 @@ from .gf2 import (
     tightness_example,
 )
 from .pm import (
+    PM,
     PmConfig,
     PmRunReport,
     hpm_upper,
     pm_diameter_lower,
-    pm_error_band,
     pm_run,
 )
 

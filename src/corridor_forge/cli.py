@@ -45,9 +45,7 @@ def _cmd_generate(args) -> int:
     if args.record_every > 0:
         traj = args.traj_out or _default_traj_path(args.out)
         if traj:
-            serialize.write_trajectory_csv(
-                report.records, cfg.spec.period(args.d), traj, args.d, args.n
-            )
+            serialize.write_trajectory_csv(report.records, cfg, traj)
     return 0
 
 

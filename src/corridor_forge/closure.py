@@ -1,30 +1,28 @@
 """Closed-face bookkeeping shared by the two mapping processes.
 
-Closed (d-1)-faces are kept twice. ``face_key`` gives each one an integer
-key (base-(n+1) digits of the sorted vertex tuple) for the set of closed
-faces. The closure index maps each (d-2)-face tau, as a sorted tuple, to a
-Python-int bitmask with bit v set when tau + {v} is closed, so the
-candidate scan is a few big-int operations instead of a pass over [n].
+The closure index is the one record of the closed (d-1)-faces. It maps
+each (d-2)-face tau, as a sorted tuple, to a Python-int bitmask with bit v
+set when tau + {v} is closed, so the candidate scan is a few big-int
+operations instead of a pass over [n].
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-
-def face_key(vs, base: int) -> int:
-    key = 0
-    for v in vs:
-        key = key * base + v
-    return key
+from .errors import VerificationError
 
 
 def close_face(masks: dict[tuple[int, ...], int], face: tuple[int, ...]):
     """Enter the sorted face into the closure index: for each vertex v of
-    the face, set bit v in the mask of the (d-2)-face face - {v}."""
+    the face, set bit v in the mask of the (d-2)-face face - {v}. A face
+    that is already closed raises VerificationError."""
     for i, v in enumerate(face):
         tau = face[:i] + face[i + 1 :]
-        masks[tau] = masks.get(tau, 0) | (1 << v)
+        mask = masks.get(tau, 0)
+        if mask >> v & 1:
+            raise VerificationError(f"face {face} closed twice")
+        masks[tau] = mask | (1 << v)
 
 
 class BitChoices:

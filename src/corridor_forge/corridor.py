@@ -9,7 +9,8 @@ follows from it:
 
 - the start is w+1 vertices, closing their C(w+1, d) (d-1)-faces
 - each step closes C(w, d-1) faces, so the surviving-face density is
-  p = 1 - C(w, d-1) d! i / n^d
+  p = 1 - C(w, d-1) d! i / n^d, and a run makes at most
+  (C(n, d) - C(w+1, d)) / C(w, d-1) steps (the volume bound)
 - the tracker period is 3w+1 and the link-shaped tracked complex has 2w
   vertices and w+1 windows of width w
 - first_low_step is the first step with at most 2w available vertices
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, ClassVar
 
-from .closure import BitChoices, close_face, face_key, scan_available
+from .closure import BitChoices, close_face, scan_available
 from .complexes import Face, SimplicialComplex
 from .dual import build_dual, is_induced_path
 from .errors import InvalidParams, OutOfRegime, VerificationError
@@ -69,6 +70,13 @@ class ProcessSpec:
         """Faces closed per step: C(w, d-1), times d! in the time scaling."""
         return math.comb(self.width(d), d - 1)
 
+    def max_steps(self, n: int, d: int) -> float:
+        """Volume bound (C(n,d) - C(w+1,d)) / C(w,d-1) on the number of
+        steps: the start and every step close new (d-1)-faces of [n]."""
+        if n <= d:
+            raise InvalidParams(f"need n > d, got n={n}, d={d}")
+        return (math.comb(n, d) - math.comb(self.width(d) + 1, d)) / self.rate(d)
+
     def p(self, n: int, d: int, i: int) -> float:
         """Surviving-face density 1 - rate*d!*t at scaled time t = i / n^d."""
         return 1.0 - self.rate(d) * math.factorial(d) * i / n**d
@@ -100,9 +108,6 @@ def error_function(d: int, p: float) -> float:
 
 # The corridor process: window width d, |A| <= d^2.
 CORRIDOR = ProcessSpec(extra=0, error_function=error_function, size_cap=lambda d: d * d)
-corridor_p = CORRIDOR.p
-predicted_Y = CORRIDOR.predicted_Y
-error_band = CORRIDOR.error_band
 
 
 def i_end(n: int, d: int, eps: float) -> int | None:
@@ -117,14 +122,6 @@ def i_end(n: int, d: int, eps: float) -> int | None:
     if value <= 0:
         return None
     return math.floor(value)
-
-
-def volume_bound_steps(n: int, d: int) -> float:
-    """Exact upper bound (C(n,d) - (d+1)) / d on the number of corridor
-    steps, which is the corridor's path length."""
-    if n <= d:
-        raise InvalidParams("need n > d")
-    return (math.comb(n, d) - (d + 1)) / d
 
 
 @dataclass
@@ -157,7 +154,6 @@ class ProcessConfig:
 class ProcessState:
     config: ProcessConfig
     phi: list[int]
-    closed_keys: set[int]
     masks: dict[tuple[int, ...], int]
     step: int
     rng: random.Random
@@ -234,16 +230,8 @@ def init(config: ProcessConfig) -> ProcessState:
     n, d = config.n, config.d
     rng = random.Random(config.seed)
     start = rng.sample(range(1, n + 1), config.spec.width(d) + 1)
-    base = n + 1
     closed_faces = [tuple(sorted(c)) for c in combinations(start, d)]
-    state = ProcessState(
-        config=config,
-        phi=list(start),
-        closed_keys={face_key(f, base) for f in closed_faces},
-        masks={},
-        step=0,
-        rng=rng,
-    )
+    state = ProcessState(config=config, phi=list(start), masks={}, step=0, rng=rng)
     for f in closed_faces:
         close_face(state.masks, f)
     if config.record_every > 0:
@@ -281,7 +269,8 @@ def candidates(state: ProcessState) -> list[int]:
 def step(state: ProcessState, scan: tuple[int, BitChoices] | None = None) -> bool:
     """Advance one step, closing C(w, d-1) faces. Returns False when the
     candidate set is empty. ``scan`` is this state's scan result when the
-    caller already has it."""
+    caller already has it; a choice that closes an already-closed face
+    raises VerificationError."""
     cfg = state.config
     d = cfg.d
     w = cfg.spec.width(d)
@@ -292,13 +281,9 @@ def step(state: ProcessState, scan: tuple[int, BitChoices] | None = None) -> boo
         return False
     v = choice[state.rng.randrange(len(choice))]
     window = tuple(sorted(state.phi[-w:]))
-    base = cfg.n + 1
     round_no = state.step + 1
     for tau in combinations(window, d - 1):
         face = tuple(sorted(tau + (v,)))
-        key = face_key(face, base)
-        assert key not in state.closed_keys
-        state.closed_keys.add(key)
         close_face(state.masks, face)
         if state.tracker is not None:
             state.tracker.note_closure(face, round_no)
@@ -323,7 +308,7 @@ def _record(state: ProcessState, terminal_y: int) -> TrajectoryRecord:
     snap = state.tracker.snapshot(i)
     for tc in state.tracker.tracked:
         w = snap.w[tc.name]
-        pred = n * p**tc.size if p >= 0 else None
+        pred = predicted_y(n, p, tc.size) if p >= 0 else None
         z = None
         if band is not None:
             z = tuple(
@@ -352,14 +337,15 @@ def simulate(config: ProcessConfig) -> tuple[ProcessState, list[TrajectoryRecord
 
 
 def verify_process(state: ProcessState):
-    """Recheck what every exhausted run guarantees: no face was closed
-    twice, the closure index holds each closed face once per vertex, and
+    """Recheck what every exhausted run guarantees: the step count is
+    within the volume bound, the closure index holds each closed face once
+    per vertex (so no face was closed twice: a repeat sets no new bit), and
     each tracked complex keeps Y_A = n - v_A - sum_j W_{A,j}."""
     cfg = state.config
     d, spec = cfg.d, cfg.spec
+    if state.step > spec.max_steps(cfg.n, d):
+        raise VerificationError("volume bound violated")
     expected_closed = math.comb(spec.width(d) + 1, d) + spec.rate(d) * state.step
-    if len(state.closed_keys) != expected_closed:
-        raise VerificationError("closed-face count off: a face repeated")
     if sum(m.bit_count() for m in state.masks.values()) != d * expected_closed:
         raise VerificationError("closure index out of step with the closed faces")
     if state.tracker is not None:
@@ -409,13 +395,9 @@ def first_band_exit(records: list[TrajectoryRecord], n: int) -> int | None:
 
 def verify_run(report: RunReport, state: ProcessState):
     """Recheck the structural invariants of a completed corridor run."""
-    cfg = report.config
-    d = cfg.d
     verify_process(state)
     if len(report.image.facets) != report.steps + 1:
         raise VerificationError("image facet count != steps + 1")
-    dual = build_dual(report.image, d)
+    dual = build_dual(report.image, report.config.d)
     if not is_induced_path(dual):
         raise VerificationError("image dual graph is not an induced path")
-    if report.steps > volume_bound_steps(cfg.n, d):
-        raise VerificationError("volume bound violated")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .complexes import SimplicialComplex, f_vector, is_pseudomanifold
-from .corridor import ProcessConfig, run, volume_bound_steps
+from .corridor import CORRIDOR, ProcessConfig, run
 from .dual import (
     build_dual,
     diameter,
@@ -141,11 +141,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> list[dict]:
                 with open(out / name, "w") as fh:
                     json.dump(rep, fh, sort_keys=True)
                     fh.write("\n")
-            exact = (
-                volume_bound_steps(n, d)
-                if spec.mode == "corridor"
-                else math.comb(n, d) / PmConfig.spec.rate(d)
-            )
+            exact = CONFIGS[spec.mode].spec.max_steps(n, d)
             mean = sum(steps) / len(steps)
             summary.append(
                 {
@@ -205,13 +201,11 @@ def bounds_table(n_list: list[int], d_list: list[int]) -> list[dict]:
     rows = []
     for d in d_list:
         for n in n_list:
-            if n <= d:
-                raise InvalidParams(f"need n > d, got n={n}, d={d}")
             rows.append(
                 {
                     "n": n,
                     "d": d,
-                    "hs_exact": volume_bound_steps(n, d),
+                    "hs_exact": CORRIDOR.max_steps(n, d),
                     "hs_first_order": first_order_steps("corridor", n, d),
                     "hpm_exact": hpm_upper(n, d),
                     "hpm_first_order": 2

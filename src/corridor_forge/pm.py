@@ -18,7 +18,6 @@ from typing import ClassVar
 from .complexes import (
     SimplicialComplex,
     boundary_corridor,
-    f_vector,
     is_pseudomanifold,
     k_faces,
 )
@@ -52,8 +51,6 @@ PM = ProcessSpec(
     error_function=pm_error_function,
     size_cap=lambda d: d + (d + 2) * math.comb(d, 2),
 )
-pm_rate = PM.rate
-pm_error_band = PM.error_band
 
 
 def pm_diameter_lower(N: int, d: int) -> float:
@@ -129,8 +126,7 @@ def _verify_pm_run(
         raise VerificationError("image not injective on (d-1)-faces")
     if not report.pseudomanifold:
         raise VerificationError("assembled image is not a pseudomanifold")
-    fv = f_vector(report.image)
-    if 2 * fv[d - 1] != (d + 1) * fv[d]:
+    if 2 * len(image_low) != (d + 1) * len(report.image.facets):
         raise VerificationError("degree-sum identity 2 f_{d-1} = (d+1) f_d broken")
     if report.dual_diameter is not None and report.dual_diameter < report.diameter_lower:
         raise VerificationError(

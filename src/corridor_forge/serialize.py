@@ -16,9 +16,10 @@ import math
 import jsonschema
 
 from .complexes import SimplicialComplex, complex_from_facets
-from .corridor import ProcessConfig, RunReport, TrajectoryRecord, volume_bound_steps
+from .corridor import ProcessConfig, RunReport, TrajectoryRecord
 from .errors import InvalidParams
 from .pm import PmRunReport
+from .trajectory import predicted_y
 
 COMPLEX_SCHEMA = {
     "type": "object",
@@ -170,7 +171,7 @@ def report_to_dict(report: RunReport) -> dict:
         obj.update(
             mode="corridor",
             path_length=report.steps,
-            volume_bound=volume_bound_steps(report.config.n, report.config.d),
+            volume_bound=report.config.spec.max_steps(report.config.n, report.config.d),
         )
     jsonschema.validate(obj, REPORT_SCHEMA)
     return obj
@@ -188,16 +189,20 @@ def csv_columns(period: int) -> list[str]:
     return cols
 
 
-def write_trajectory_csv(records: list[TrajectoryRecord], period: int, path: str, d: int, n: int):
+def write_trajectory_csv(records: list[TrajectoryRecord], config: ProcessConfig, path: str):
     """One row per (recorded step, tracked complex), plus a row for the
-    terminal-face statistic (A_id 'terminal', W/Z columns empty)."""
+    terminal statistic, the candidate count (A_id 'terminal', W/Z columns
+    empty). Its size_A is the C(w, d-1) window faces that block each
+    candidate, so its Y_pred is n p^C(w, d-1)."""
+    n, d, spec = config.n, config.d, config.spec
+    period, size_term = spec.period(d), spec.rate(d)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(csv_columns(period))
         for rec in records:
-            pred_term = n * rec.p**d if rec.p >= 0 else ""
+            pred_term = predicted_y(n, rec.p, size_term) if rec.p >= 0 else ""
             writer.writerow(
-                [rec.step, rec.t, rec.p, "terminal", d, rec.terminal_y, pred_term, ""]
+                [rec.step, rec.t, rec.p, "terminal", size_term, rec.terminal_y, pred_term, ""]
                 + [""] * (2 * period)
             )
             for name, e in sorted(rec.entries.items()):

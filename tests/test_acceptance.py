@@ -17,7 +17,7 @@ from corridor_forge.complexes import (
     k_faces,
     straight_corridor,
 )
-from corridor_forge.corridor import ProcessConfig, run, volume_bound_steps
+from corridor_forge.corridor import CORRIDOR, ProcessConfig, run
 from corridor_forge.dual import (
     build_dual,
     caccetta_smyth_bound,
@@ -68,7 +68,7 @@ def test_02_corridor_structural_validity(capsys):
                     dual = build_dual(report.image, d)
                     assert is_induced_path(dual)
                     assert dual.num_nodes == report.steps + 1
-                    assert report.steps <= volume_bound_steps(n, d)
+                    assert report.steps <= CORRIDOR.max_steps(n, d)
 
 
 def test_03_corridor_length_statistics(capsys):

@@ -1,7 +1,8 @@
 """The closure-index scan against the linear scan it replaced.
 
 ``oracle_scan`` is the former candidate scan: one pass over [n] that looks
-up every face tau + {v} in the set of closed-face keys.
+up every face tau + {v} in the closed faces, rebuilt from the mapped
+vertices without the index (``util.closed_faces``).
 """
 
 from itertools import combinations
@@ -11,15 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corridor_forge import corridor
-from corridor_forge.closure import BitChoices, face_key
+from corridor_forge.closure import BitChoices
 from corridor_forge.corridor import ProcessConfig, init, simulate, step, verify_process
 from corridor_forge.errors import VerificationError
 from corridor_forge.pm import PmConfig
-
-
-def merged_key(tau, v, base):
-    """Key of the sorted face tau + {v}, for tau already sorted."""
-    return face_key(sorted(tau + (v,)), base)
+from util import closed_faces
 
 
 def oracle_scan(state):
@@ -28,11 +25,12 @@ def oracle_scan(state):
     window = set(state.phi[-w:])
     taus = list(combinations(sorted(window), cfg.d - 1))
     recent = set(state.phi[-2 * w :])
+    closed = closed_faces(state)
     count, choice = 0, []
     for v in range(1, n + 1):
         if v in window:
             continue
-        if all(merged_key(tau, v, n + 1) not in state.closed_keys for tau in taus):
+        if all(tuple(sorted(tau + (v,))) not in closed for tau in taus):
             count += 1
             if v not in recent:
                 choice.append(v)
@@ -83,5 +81,27 @@ def test_verify_process_catches_broken_index(config):
     verify_process(state)
     tau, mask = next(iter(state.masks.items()))
     state.masks[tau] = mask & (mask - 1)  # forget one closed face
+    with pytest.raises(VerificationError, match="closure index"):
+        verify_process(state)
+
+
+@pytest.mark.parametrize("config", [ProcessConfig(n=30, d=3, seed=2), PmConfig(n=40, d=2, seed=2)])
+def test_step_rejects_a_closed_face(config):
+    # phi[0] is outside the window, and with it every face it would close
+    # is a d-subset of the start, already closed
+    state = init(config)
+    with pytest.raises(VerificationError, match="closed twice"):
+        step(state, scan=(1, [state.phi[0]]))
+
+
+def test_verify_process_catches_a_repeat_past_close_face(monkeypatch):
+    def unchecked_close_face(masks, face):
+        for i, v in enumerate(face):
+            tau = face[:i] + face[i + 1 :]
+            masks[tau] = masks.get(tau, 0) | (1 << v)
+
+    monkeypatch.setattr(corridor, "close_face", unchecked_close_face)
+    state = init(ProcessConfig(n=30, d=2, seed=2))
+    assert step(state, scan=(1, [state.phi[0]]))
     with pytest.raises(VerificationError, match="closure index"):
         verify_process(state)

@@ -5,34 +5,34 @@ import pytest
 
 from corridor_forge import corridor
 from corridor_forge.corridor import (
+    CORRIDOR,
     ProcessConfig,
+    ProcessSpec,
     candidates,
-    corridor_p,
     default_tracked_family,
-    error_band,
     error_function,
     i_end,
     init,
-    predicted_Y,
     run,
     step,
-    volume_bound_steps,
 )
 from corridor_forge.dual import build_dual, is_induced_path
 from corridor_forge.errors import (
     InvalidParams,
     InvalidTrackedComplex,
     OutOfRegime,
+    VerificationError,
 )
 from corridor_forge.pm import PmConfig, pm_run
 from corridor_forge.serialize import report_json
+from util import closed_faces
 
 
 class TestInit:
     def test_contracts(self):
         state = init(ProcessConfig(n=30, d=2, seed=1))
         assert len(state.phi) == 3
-        assert len(state.closed_keys) == 3
+        assert len(closed_faces(state)) == 3
         assert state.step == 0
         assert state.tracker is None
 
@@ -69,9 +69,9 @@ class TestStep:
 
     def test_step_growth(self):
         state = init(ProcessConfig(n=30, d=2, seed=3))
-        before = len(state.closed_keys)
+        before = len(closed_faces(state))
         assert step(state)
-        assert len(state.closed_keys) == before + 2
+        assert len(closed_faces(state)) == before + 2
         assert len(state.phi) == 4
         assert state.step == 1
 
@@ -112,34 +112,34 @@ class TestStep:
 
 class TestFormulas:
     def test_p_and_prediction_at_start(self):
-        assert corridor_p(100, 2, 0) == 1.0
-        assert predicted_Y(100, 2, 0, 3) == 100.0
+        assert CORRIDOR.p(100, 2, 0) == 1.0
+        assert CORRIDOR.predicted_Y(100, 2, 0, 3) == 100.0
 
     def test_prediction_midway(self):
         # p = 1 - 2*2*1250/10000 = 0.5, n p^2 = 25
-        assert predicted_Y(100, 2, 1250, 2) == pytest.approx(25.0)
+        assert CORRIDOR.predicted_Y(100, 2, 1250, 2) == pytest.approx(25.0)
 
     def test_prediction_at_p_zero(self):
-        assert predicted_Y(100, 2, 2500, 2) == pytest.approx(0.0)
+        assert CORRIDOR.predicted_Y(100, 2, 2500, 2) == pytest.approx(0.0)
 
     def test_prediction_out_of_regime(self):
         with pytest.raises(OutOfRegime):
-            predicted_Y(100, 2, 3000, 2)
+            CORRIDOR.predicted_Y(100, 2, 3000, 2)
 
     def test_error_function_at_one(self):
         assert error_function(2, 1.0) == pytest.approx(math.exp(31))
 
     def test_error_band_value_and_growth(self):
-        assert error_band(200, 2, 0.0) == pytest.approx(
+        assert CORRIDOR.error_band(200, 2, 0.0) == pytest.approx(
             200**0.75 * math.exp(31) / 2
         )
-        assert error_band(200, 2, 0.1) > error_band(200, 2, 0.0)
+        assert CORRIDOR.error_band(200, 2, 0.1) > CORRIDOR.error_band(200, 2, 0.0)
         # the rigorous band is vacuous at desk scale
-        assert error_band(200, 2, 0.0) > 200
+        assert CORRIDOR.error_band(200, 2, 0.0) > 200
 
     def test_error_band_out_of_regime(self):
         with pytest.raises(OutOfRegime):
-            error_band(200, 2, 0.25)
+            CORRIDOR.error_band(200, 2, 0.25)
 
     def test_i_end_asymptotic_only(self):
         assert i_end(1000, 2, 0.2) is None
@@ -155,7 +155,7 @@ class TestFormulas:
             i_end(1000, 2, 0.0)
 
     def test_volume_bound(self):
-        assert volume_bound_steps(10, 2) == pytest.approx((45 - 3) / 2)
+        assert CORRIDOR.max_steps(10, 2) == pytest.approx((45 - 3) / 2)
 
 
 class TestTrackedFamily:
@@ -199,7 +199,7 @@ class TestRun:
         serialized = json.loads(report_json(report))
         assert len(report.image.facets) == report.steps + 1
         assert serialized["path_length"] == report.steps
-        assert report.steps <= volume_bound_steps(40, 2)
+        assert report.steps <= CORRIDOR.max_steps(40, 2)
         assert is_induced_path(build_dual(report.image, 2))
         assert serialized["termination"] == "exhausted"
         assert report.first_low_step is not None
@@ -207,7 +207,12 @@ class TestRun:
     def test_d3_run(self):
         report = run(ProcessConfig(n=20, d=3, seed=4))
         assert is_induced_path(build_dual(report.image, 3))
-        assert report.steps <= volume_bound_steps(20, 3)
+        assert report.steps <= CORRIDOR.max_steps(20, 3)
+
+    def test_volume_bound_checked(self, monkeypatch):
+        monkeypatch.setattr(ProcessSpec, "max_steps", lambda self, n, d: 0)
+        with pytest.raises(VerificationError, match="volume bound"):
+            run(ProcessConfig(n=40, d=2, seed=2))
 
     def test_small_n_run(self):
         report = run(ProcessConfig(n=5, d=2, seed=0, allow_small_n=True))

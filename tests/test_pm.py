@@ -5,31 +5,32 @@ import pytest
 from corridor_forge import pm
 from corridor_forge.complexes import boundary_corridor, f_vector
 from corridor_forge.corridor import (
+    CORRIDOR,
+    ProcessSpec,
     candidates,
     default_tracked_family,
     init,
     step,
-    volume_bound_steps,
 )
 from corridor_forge.dual import build_dual, caccetta_smyth_bound, diameter
 from corridor_forge.errors import InvalidParams, OutOfRegime, VerificationError
+from corridor_forge.experiments import ExperimentSpec, run_experiment
 from corridor_forge.pm import (
     PM,
     PmConfig,
     hpm_upper,
     pm_diameter_lower,
-    pm_error_band,
     pm_error_function,
-    pm_rate,
     pm_run,
 )
+from util import closed_faces
 
 
 class TestInit:
     def test_contracts(self):
         state = init(PmConfig(n=40, d=2, seed=1))
         assert len(state.phi) == 4
-        assert len(state.closed_keys) == 6  # C(4, 2)
+        assert len(closed_faces(state)) == 6  # C(4, 2)
         assert state.step == 0
 
     def test_small_n_guard(self):
@@ -54,9 +55,9 @@ class TestStep:
 
     def test_closures_per_step(self):
         state = init(PmConfig(n=40, d=2, seed=3))
-        before = len(state.closed_keys)
+        before = len(closed_faces(state))
         assert step(state)
-        assert len(state.closed_keys) == before + pm_rate(2)
+        assert len(closed_faces(state)) == before + PM.rate(2)
 
     def test_determinism(self):
         a = init(PmConfig(n=40, d=2, seed=9))
@@ -68,8 +69,8 @@ class TestStep:
 
 class TestFormulas:
     def test_rate(self):
-        assert pm_rate(2) == 3
-        assert pm_rate(3) == 6
+        assert PM.rate(2) == 3
+        assert PM.rate(3) == 6
 
     def test_p_and_prediction(self):
         assert PM.p(100, 2, 0) == 1.0
@@ -85,11 +86,11 @@ class TestFormulas:
         assert pm_error_function(2, 1.0) == pytest.approx(math.exp(32))
 
     def test_error_band_monotone_and_vacuous(self):
-        assert pm_error_band(60, 2, 0.0) == pytest.approx(
+        assert PM.error_band(60, 2, 0.0) == pytest.approx(
             60**0.75 * math.exp(32) / 2
         )
-        assert pm_error_band(60, 2, 0.05) > pm_error_band(60, 2, 0.0)
-        assert pm_error_band(60, 2, 0.0) > 60
+        assert PM.error_band(60, 2, 0.05) > PM.error_band(60, 2, 0.0)
+        assert PM.error_band(60, 2, 0.0) > 60
 
     def test_diameter_lower(self):
         assert pm_diameter_lower(6, 2) == pytest.approx(1.0)
@@ -103,10 +104,22 @@ class TestFormulas:
         assert diameter(g) >= pm_diameter_lower(30, 2)
 
     def test_upper_bounds(self):
-        assert volume_bound_steps(10, 2) == pytest.approx(21.0)
+        assert CORRIDOR.max_steps(10, 2) == pytest.approx(21.0)
         assert hpm_upper(10, 2) == pytest.approx(11.0)
         with pytest.raises(InvalidParams):
-            volume_bound_steps(2, 2)
+            CORRIDOR.max_steps(2, 2)
+
+    def test_max_steps_counts_the_start_faces(self):
+        # C(20,2) faces, C(4,2) closed by the start, 3 per step
+        assert PM.max_steps(20, 2) == (190 - 6) / 3
+        with pytest.raises(InvalidParams):
+            PM.max_steps(2, 2)
+
+    def test_summary_exact_bound_is_max_steps(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CORRIDOR_FORGE_THREADS", "1")
+        spec = ExperimentSpec.from_dict({"mode": "pm", "n": [20], "d": [2], "seeds": [1]})
+        (row,) = run_experiment(spec, tmp_path)
+        assert row["exact_bound"] == (190 - 6) / 3
 
 
 class TestTrackedFamily:
@@ -158,6 +171,11 @@ class TestSandwich:
         monkeypatch.setattr(pm, "pm_diameter_lower", lambda N, d: 1e9)
         with pytest.raises(VerificationError, match="below the lower bound"):
             pm_run(PmConfig(n=40, d=2, seed=1))
+
+    def test_volume_bound_checked(self, monkeypatch):
+        monkeypatch.setattr(ProcessSpec, "max_steps", lambda self, n, d: 0)
+        with pytest.raises(VerificationError, match="volume bound"):
+            pm_run(PmConfig(n=40, d=2, seed=1, compute_diameter=False))
 
     def test_no_check_without_diameter(self, monkeypatch):
         monkeypatch.setattr(pm, "pm_diameter_lower", lambda N, d: 1e9)

@@ -109,7 +109,7 @@ class TestTrajectoryCsv:
         cfg = ProcessConfig(n=40, d=2, seed=3, record_every=25, track_random=2)
         report = run(cfg)
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(report.records, 7, str(path), 2, 40)
+        write_trajectory_csv(report.records, cfg, str(path))
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         header, body = rows[0], rows[1:]
@@ -120,3 +120,21 @@ class TestTrajectoryCsv:
         terminal = [r for r in body if r[3] == "terminal"]
         assert len(terminal) == len(report.records)
         assert all(r[8] == "" for r in terminal)  # W columns empty
+
+    def test_pm_terminal_row_follows_the_window_faces(self, tmp_path):
+        # the candidate count is blocked by the window's C(w, d-1) = 3
+        # faces, so it follows n p^3, not n p^d
+        cfg = PmConfig(
+            n=200, d=2, seed=1, record_every=1000, track_random=0,
+            track_link=False, compute_diameter=False,
+        )
+        report = pm_run(cfg)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(report.records, cfg, str(path))
+        with open(path, newline="") as fh:
+            terminal = {int(r[0]): r for r in csv.reader(fh) if r[3] == "terminal"}
+        assert {r[4] for r in terminal.values()} == {"3"}
+        row = terminal[2000]
+        assert int(row[5]) == 65
+        assert float(row[6]) == pytest.approx(200 * float(row[2]) ** 3)
+        assert float(row[6]) == pytest.approx(68.6, abs=0.05)

@@ -41,14 +41,14 @@ RUNS = [
         pm_run,
         10,
         "351b03cd6f25260b597cee767cc2c8c087f65a9cb34e9ccbc7fa1d76fcb16d5d",
-        "fba18dacfe0d96206189a8fe55591e4c452d074f8199d2cdd496029a275de0cf",
+        "194caf8281724393803f3b32ec9844c51b79efc7039705bf5c10c4482e637ab5",
     ),
     (
         PmConfig(n=16, d=3, seed=7, record_every=10, allow_small_n=True),
         pm_run,
         13,
         "9e02ee60634f3ee02ed6c775d4d67f48365c87dea5393574c29a0fe952f8c71d",
-        "213a6ffe4088d0f9c20e988d639dd0d525d01a39d524a8879fe838433173ca5a",
+        "143c41696ebf113472bf51b4495ad594d7ce2475903b46d52ad22ce62dffee49",
     ),
 ]
 
@@ -62,7 +62,8 @@ def test_report_and_trajectory_bytes(tmp_path, cfg, fn, period, report_digest, c
     report = fn(cfg)
     assert sha256(report_json(report).encode()) == report_digest
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(report.records, period, str(path), cfg.d, cfg.n)
+    assert cfg.spec.period(cfg.d) == period
+    write_trajectory_csv(report.records, cfg, str(path))
     assert sha256(path.read_bytes()) == csv_digest
 
 
@@ -70,7 +71,7 @@ def test_report_and_trajectory_bytes(tmp_path, cfg, fn, period, report_digest, c
     "mode, digest",
     [
         ("corridor", "4b5c391534e8aec86e4d431f5a041912c390a8e40f9d5e1cbacbd9325b559478"),
-        ("pm", "ad91c3b328f79c3eaaea74fa5fa70a739269bd53063068875aacb83d2f02ee3c"),
+        ("pm", "763b3abf24a10cdb6ef3b723ab8281a833459cbaf5886aeb93ea3fda1093d2ac"),
     ],
 )
 def test_experiment_summary_bytes(tmp_path, monkeypatch, mode, digest):
