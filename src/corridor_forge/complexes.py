@@ -102,20 +102,20 @@ def straight_corridor(d: int, N: int) -> SimplicialComplex:
     return SimplicialComplex(n=N, facets=frozenset(facets))
 
 
-def boundary_corridor(d: int, N: int) -> SimplicialComplex:
-    """The boundary of the (d+1)-dimensional straight corridor on [N].
+def single_window_faces(D: int, N: int, k: int) -> SimplicialComplex:
+    """The k-faces of SC_D(N) lying in exactly one window (facet)."""
+    mult: Counter[Face] = Counter()
+    for facet in straight_corridor(D, N).facets:
+        mult.update(combinations(facet, k + 1))
+    return SimplicialComplex(n=N, facets=frozenset(f for f in mult if mult[f] == 1))
 
-    Facets are the d-faces of SC_{d+1}(N) lying in exactly one
-    (d+1)-facet, found by multiplicity counting; topologically a d-sphere.
-    """
+
+def boundary_corridor(d: int, N: int) -> SimplicialComplex:
+    """The boundary of the (d+1)-dimensional straight corridor on [N]: the
+    d-faces of SC_{d+1}(N) in exactly one (d+1)-facet; a d-sphere."""
     if N < d + 2:
         raise InvalidParams(f"need N >= d + 2, got N={N}, d={d}")
-    corridor = straight_corridor(d + 1, N)
-    mult: Counter[Face] = Counter()
-    for facet in corridor.facets:
-        mult.update(combinations(facet, d + 1))
-    boundary = [f for f, c in mult.items() if c == 1]
-    return SimplicialComplex(n=N, facets=frozenset(boundary))
+    return single_window_faces(d + 1, N, d)
 
 
 def corridor_face_count(D: int, N: int, k: int) -> int:

@@ -15,10 +15,12 @@ follows from it:
   vertices and w+1 windows of width w
 - first_low_step is the first step with at most 2w available vertices
 - n must be at least 4w+2 (w+2 with allow_small_n)
+- the image maps the structure, the d-faces of SC_w(M) in exactly one
+  window, through phi; verify_run proves it a faithful copy
 
-The corridor process has w = d: every step closes exactly d new
-(d-1)-faces, so the image's dual graph is an induced path in the Johnson
-graph J(n, d+1). The pseudomanifold process (w = d+1) lives in pm.py.
+The corridor process has w = d and the structure SC_d(M), so the image's
+dual graph is an induced path in the Johnson graph J(n, d+1). The
+pseudomanifold process (w = d+1) lives in pm.py.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from itertools import combinations
 from typing import Callable, ClassVar
 
 from .closure import BitChoices, close_face, scan_available
-from .complexes import Face, SimplicialComplex
-from .dual import build_dual, is_induced_path
+from .complexes import Face, SimplicialComplex, k_faces, single_window_faces
 from .errors import InvalidParams, OutOfRegime, VerificationError
 from .trajectory import (
     TrackedComplex,
@@ -52,8 +53,8 @@ TRACKER_SEED_SALT = 0x7A11_0C0D
 class ProcessSpec:
     """What sets a mapping process apart: its window width w = d + extra,
     its error function e(d, p) and its cap on the size |A| of a tracked
-    complex. The fourth difference, how the image is assembled and
-    verified, is the process's run function."""
+    complex. Everything else, the structure mapped into the image
+    included, follows from w."""
 
     extra: int
     error_function: Callable[[int, float], float]
@@ -73,9 +74,14 @@ class ProcessSpec:
     def max_steps(self, n: int, d: int) -> float:
         """Volume bound (C(n,d) - C(w+1,d)) / C(w,d-1) on the number of
         steps: the start and every step close new (d-1)-faces of [n]."""
-        if n <= d:
-            raise InvalidParams(f"need n > d, got n={n}, d={d}")
+        if d < 1 or n <= d:
+            raise InvalidParams(f"need n > d >= 1, got n={n}, d={d}")
         return (math.comb(n, d) - math.comb(self.width(d) + 1, d)) / self.rate(d)
+
+    def structure(self, d: int, M: int) -> SimplicialComplex:
+        """The d-faces of SC_w(M) lying in exactly one window: the windows
+        of SC_d(M) for w = d, the boundary of SC_{d+1}(M) for w = d+1."""
+        return single_window_faces(self.width(d), M, d)
 
     def p(self, n: int, d: int, i: int) -> float:
         """Surviving-face density 1 - rate*d!*t at scaled time t = i / n^d."""
@@ -354,24 +360,28 @@ def verify_process(state: ProcessState):
                 raise VerificationError(f"Y/W identity broken for {tc.name}")
 
 
+def assemble(state: ProcessState) -> tuple[SimplicialComplex, SimplicialComplex]:
+    """Returns (image, structure): the structure on the mapped positions
+    and its image under position k -> phi_k."""
+    cfg, phi = state.config, state.phi
+    structural = cfg.spec.structure(cfg.d, len(phi))
+    facets = (tuple(sorted(phi[k - 1] for k in f)) for f in structural.facets)
+    return SimplicialComplex(n=cfg.n, facets=frozenset(facets)), structural
+
+
 def run(config: ProcessConfig) -> RunReport:
-    """Run the corridor process to exhaustion, assemble the image (one
-    facet per d+1 consecutive mapped vertices), verify invariants."""
+    """Run the corridor process to exhaustion, assemble the image, verify."""
     state, records = simulate(config)
-    d = config.d
-    facets = [
-        tuple(sorted(state.phi[j : j + d + 1]))
-        for j in range(len(state.phi) - d)
-    ]
+    image, structural = assemble(state)
     report = RunReport(
         config=config,
         steps=state.step,
         first_low_step=state.first_low_step,
-        image=SimplicialComplex(n=config.n, facets=frozenset(facets)),
+        image=image,
         records=records,
         first_band_exit=first_band_exit(records, config.n),
     )
-    verify_run(report, state)
+    verify_run(report, state, structural)
     return report
 
 
@@ -393,11 +403,16 @@ def first_band_exit(records: list[TrajectoryRecord], n: int) -> int | None:
     return None
 
 
-def verify_run(report: RunReport, state: ProcessState):
-    """Recheck the structural invariants of a completed corridor run."""
+def verify_run(report: RunReport, state: ProcessState, structural: SimplicialComplex):
+    """Recheck a run of either process: verify_process, then that phi is
+    injective on the structure's d- and (d-1)-faces (two d-faces share at
+    most one (d-1)-face, so the image's dual graph is then a copy of the
+    structure's). Returns the image's number of (d-1)-faces."""
+    d = report.config.d
     verify_process(state)
-    if len(report.image.facets) != report.steps + 1:
-        raise VerificationError("image facet count != steps + 1")
-    dual = build_dual(report.image, report.config.d)
-    if not is_induced_path(dual):
-        raise VerificationError("image dual graph is not an induced path")
+    if len(report.image.facets) != len(structural.facets):
+        raise VerificationError("image not injective on d-faces")
+    image_low = len(k_faces(report.image, d - 1))
+    if image_low != len(k_faces(structural, d - 1)):
+        raise VerificationError("image not injective on (d-1)-faces")
+    return image_low

@@ -36,12 +36,12 @@ class DualGraph:
         return [len(a) for a in self.adj]
 
 
-def _graph_from_faces(faces: list[Face], shared: int) -> DualGraph:
-    """Adjacency over faces sharing exactly `shared` vertices, via
-    subface hashing."""
+def _graph_from_faces(faces: list[Face]) -> DualGraph:
+    """Adjacency over faces sharing all but one vertex, via subface
+    hashing."""
     index: dict[Face, list[int]] = {}
     for i, f in enumerate(faces):
-        for sub in combinations(f, shared):
+        for sub in combinations(f, len(f) - 1):
             index.setdefault(sub, []).append(i)
     adj: list[set[int]] = [set() for _ in faces]
     for bucket in index.values():
@@ -56,7 +56,7 @@ def build_dual(X: SimplicialComplex, d: int) -> DualGraph:
     faces = sorted(k_faces(X, d))
     if not faces:
         raise EmptyDual(f"complex has no {d}-faces")
-    return _graph_from_faces(faces, d)
+    return _graph_from_faces(faces)
 
 
 def johnson_graph(n: int, k: int) -> DualGraph:
@@ -65,7 +65,7 @@ def johnson_graph(n: int, k: int) -> DualGraph:
     if not 1 <= k <= n:
         raise InvalidParams(f"need 1 <= k <= n, got n={n}, k={k}")
     faces = list(combinations(range(1, n + 1), k))
-    return _graph_from_faces(faces, k - 1)
+    return _graph_from_faces(faces)
 
 
 def _bfs_distances(g: DualGraph, source: int) -> list[int]:

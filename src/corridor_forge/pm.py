@@ -4,9 +4,11 @@ Maps the boundary of the (d+1)-dimensional straight corridor into the
 complete d-complex on [n], one vertex at a time, never repeating a
 (d-1)-face. It is the engine of corridor.py with a window of w = d+1
 vertices: each step cones over the codimension-2 skeleton of the previous
-d+1 chosen vertices, closing binom(d+1, 2) new (d-1)-faces; the assembled
-image is a pseudomanifold whose dual diameter is bounded below by the
-known diameter of the boundary corridor.
+d+1 chosen vertices, closing binom(d+1, 2) new (d-1)-faces. The engine's
+assemble and verify_run map that boundary through phi and prove the image
+a faithful copy of it, so the image is a pseudomanifold whose dual
+diameter is bounded below by the known diameter of the boundary corridor;
+this module adds those pseudomanifold checks.
 """
 
 from __future__ import annotations
@@ -15,20 +17,16 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .complexes import (
-    SimplicialComplex,
-    boundary_corridor,
-    is_pseudomanifold,
-    k_faces,
-)
+from .complexes import SimplicialComplex, is_pseudomanifold
 from .corridor import (
     ProcessConfig,
     ProcessSpec,
     ProcessState,
     RunReport,
+    assemble,
     first_band_exit,
     simulate,
-    verify_process,
+    verify_run,
 )
 from .dual import build_dual, diameter
 from .errors import InvalidParams, OutOfRegime, VerificationError
@@ -85,14 +83,9 @@ class PmRunReport(RunReport):
 def pm_run(config: PmConfig) -> PmRunReport:
     """Run to exhaustion, assemble the boundary-corridor image, verify."""
     state, records = simulate(config)
+    image, structural = assemble(state)
     d = config.d
     m = len(state.phi)
-    structural = boundary_corridor(d, m)
-    image_facets = {
-        tuple(sorted(state.phi[pos - 1] for pos in facet))
-        for facet in structural.facets
-    }
-    image = SimplicialComplex(n=config.n, facets=frozenset(image_facets))
     pm_flag = is_pseudomanifold(image, d)
     dual_diameter = None
     if config.compute_diameter:
@@ -116,17 +109,11 @@ def pm_run(config: PmConfig) -> PmRunReport:
 def _verify_pm_run(
     report: PmRunReport, state: ProcessState, structural: SimplicialComplex
 ):
-    d = report.config.d
-    verify_process(state)
-    if len(report.image.facets) != len(structural.facets):
-        raise VerificationError("image not injective on d-faces")
-    structural_low = k_faces(structural, d - 1)
-    image_low = k_faces(report.image, d - 1)
-    if len(image_low) != len(structural_low):
-        raise VerificationError("image not injective on (d-1)-faces")
+    f_low = verify_run(report, state, structural)
     if not report.pseudomanifold:
         raise VerificationError("assembled image is not a pseudomanifold")
-    if 2 * len(image_low) != (d + 1) * len(report.image.facets):
+    d = report.config.d
+    if 2 * f_low != (d + 1) * len(report.image.facets):
         raise VerificationError("degree-sum identity 2 f_{d-1} = (d+1) f_d broken")
     if report.dual_diameter is not None and report.dual_diameter < report.diameter_lower:
         raise VerificationError(

@@ -206,6 +206,13 @@ class TestFrontDoor:
         assert captured.err.startswith("error:") and message in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_bounds_dimension_below_one(self, capsys, d):
+        code, captured = _run(capsys, ["bounds", "--n", "10", "--d", d])
+        assert code == 1
+        assert captured.err.startswith("error:") and f"d={d}" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_spec_not_json(self, tmp_path, capsys):
         code, captured = self._experiment(tmp_path, capsys, "{mode: corridor")
         assert code == 1
@@ -228,7 +235,7 @@ class TestFrontDoor:
     def test_verification_error_names_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CORRIDOR_FORGE_THREADS", "1")
 
-        def fail(report, state):
+        def fail(*args):
             raise VerificationError("forced failure")
 
         monkeypatch.setattr(corridor, "verify_run", fail)

@@ -1,13 +1,18 @@
 import json
 import math
+import random
 
 import pytest
 
 from corridor_forge import corridor
+from corridor_forge.complexes import straight_corridor
 from corridor_forge.corridor import (
     CORRIDOR,
     ProcessConfig,
     ProcessSpec,
+    ProcessState,
+    RunReport,
+    assemble,
     candidates,
     default_tracked_family,
     error_function,
@@ -15,6 +20,7 @@ from corridor_forge.corridor import (
     init,
     run,
     step,
+    verify_run,
 )
 from corridor_forge.dual import build_dual, is_induced_path
 from corridor_forge.errors import (
@@ -228,3 +234,48 @@ class TestRun:
     def test_band_never_exited_at_desk_scale(self):
         report = run(ProcessConfig(n=40, d=2, seed=2, record_every=10))
         assert report.first_band_exit is None
+
+
+class TestVerifier:
+    """verify_run on hand-built corridor states, with verify_process
+    patched out so only the injectivity counts can reject them."""
+
+    def _verify(self, monkeypatch, phi):
+        monkeypatch.setattr(corridor, "verify_process", lambda state: None)
+        cfg = ProcessConfig(n=max(phi), d=2, seed=0, allow_small_n=True)
+        state = ProcessState(
+            config=cfg, phi=phi, masks={}, step=len(phi) - 3, rng=random.Random(0)
+        )
+        image, structural = assemble(state)
+        report = RunReport(
+            config=cfg,
+            steps=state.step,
+            first_low_step=None,
+            image=image,
+            records=[],
+            first_band_exit=None,
+        )
+        return image, lambda: verify_run(report, state, structural)
+
+    def test_structure_is_the_straight_corridor(self):
+        assert CORRIDOR.structure(2, 9) == straight_corridor(2, 9)
+        assert CORRIDOR.structure(3, 9) == straight_corridor(3, 9)
+
+    def test_injective_path_passes(self, monkeypatch):
+        image, verify = self._verify(monkeypatch, [1, 2, 3, 4, 5, 6, 7])
+        assert verify() == 11  # (d-1)-faces of SC_2(7)
+        assert is_induced_path(build_dual(image, 2))
+
+    def test_repeated_ridge_rejected(self, monkeypatch):
+        # windows 123, 234, 345, 145, 125: five distinct facets, but the
+        # ridges 12 (positions 1,2) and 12 (positions 6,7) coincide, so the
+        # image has 10 ridges against the structure's 11
+        image, verify = self._verify(monkeypatch, [1, 2, 3, 4, 5, 1, 2])
+        with pytest.raises(VerificationError, match=r"not injective on \(d-1\)-faces"):
+            verify()
+        assert not is_induced_path(build_dual(image, 2))
+
+    def test_repeated_facet_rejected(self, monkeypatch):
+        _, verify = self._verify(monkeypatch, [1, 2, 3, 4, 1, 2, 3])
+        with pytest.raises(VerificationError, match="not injective on d-faces"):
+            verify()

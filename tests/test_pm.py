@@ -166,6 +166,19 @@ class TestRun:
         assert report.first_band_exit is None
 
 
+class TestMetamorphic:
+    """The verifier proves the image injective on d- and (d-1)-faces, so
+    its dual is isomorphic to the dual of the boundary corridor it maps."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n, d", [(40, 2), (60, 2), (20, 3)])
+    def test_dual_diameter_matches_the_structure(self, n, d, seed):
+        report = pm_run(PmConfig(n=n, d=d, seed=seed, allow_small_n=True))
+        structural = boundary_corridor(d, report.mapped_vertices)
+        assert PM.structure(d, report.mapped_vertices) == structural
+        assert report.dual_diameter == diameter(build_dual(structural, d))
+
+
 class TestSandwich:
     def test_diameter_below_lower_bound_rejected(self, monkeypatch):
         monkeypatch.setattr(pm, "pm_diameter_lower", lambda N, d: 1e9)

@@ -73,6 +73,7 @@ def test_report_and_trajectory_bytes(tmp_path, cfg, fn, period, report_digest, c
         ("corridor", "4b5c391534e8aec86e4d431f5a041912c390a8e40f9d5e1cbacbd9325b559478"),
         ("pm", "763b3abf24a10cdb6ef3b723ab8281a833459cbaf5886aeb93ea3fda1093d2ac"),
     ],
+    ids=["corridor", "pm"],
 )
 def test_experiment_summary_bytes(tmp_path, monkeypatch, mode, digest):
     monkeypatch.setenv("CORRIDOR_FORGE_THREADS", "1")
