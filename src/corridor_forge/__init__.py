@@ -3,9 +3,7 @@ complexes and pseudomanifolds."""
 
 from .complexes import (
     SimplicialComplex,
-    boundary_complex_of_simplex,
     boundary_corridor,
-    codim2_skeleton,
     complex_from_facets,
     corridor_face_count,
     f_vector,

@@ -152,7 +152,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CorridorForgeError as err:
+    except (CorridorForgeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

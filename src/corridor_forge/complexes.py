@@ -33,10 +33,6 @@ def make_face(vertices) -> Face:
     return vs
 
 
-def face_dim(f: Face) -> int:
-    return len(f) - 1
-
-
 @dataclass(frozen=True)
 class SimplicialComplex:
     """A complex given by its facets over the vertex set [n]."""
@@ -46,13 +42,10 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        return max(face_dim(f) for f in self.facets)
+        return max(len(f) for f in self.facets) - 1
 
     def is_pure(self, d: int) -> bool:
-        return all(face_dim(f) == d for f in self.facets)
-
-    def sorted_facets(self) -> list[Face]:
-        return sorted(self.facets)
+        return all(len(f) == d + 1 for f in self.facets)
 
 
 def complex_from_facets(faces, n: int | None = None) -> SimplicialComplex:
@@ -137,23 +130,3 @@ def is_pseudomanifold(X: SimplicialComplex, d: int) -> bool:
         mult.update(combinations(facet, d))
     return all(c == 2 for c in mult.values())
 
-
-def codim2_skeleton(window: Face) -> SimplicialComplex:
-    """The codimension-2 skeleton of the simplex on a d+1 vertex window,
-    i.e. the complex of all (d-1)-subsets."""
-    w = make_face(window)
-    if len(w) < 3:
-        raise InvalidParams("window needs at least 3 vertices")
-    return SimplicialComplex(
-        n=max(w), facets=frozenset(combinations(w, len(w) - 2))
-    )
-
-
-def boundary_complex_of_simplex(f) -> SimplicialComplex:
-    """The boundary of the simplex on f: all subsets of one fewer vertex."""
-    face = make_face(f)
-    if len(face) < 2:
-        raise InvalidParams("boundary needs a face with at least 2 vertices")
-    return SimplicialComplex(
-        n=max(face), facets=frozenset(combinations(face, len(face) - 1))
-    )

@@ -36,12 +36,14 @@ class DualGraph:
         return [len(a) for a in self.adj]
 
 
-def _graph_from_faces(faces: list[Face]) -> DualGraph:
-    """Adjacency over faces sharing all but one vertex, via subface
-    hashing."""
+def build_dual(X: SimplicialComplex, d: int) -> DualGraph:
+    """Dual graph on the d-faces of X, in sorted face order."""
+    faces = sorted(k_faces(X, d))
+    if not faces:
+        raise EmptyDual(f"complex has no {d}-faces")
     index: dict[Face, list[int]] = {}
     for i, f in enumerate(faces):
-        for sub in combinations(f, len(f) - 1):
+        for sub in combinations(f, d):
             index.setdefault(sub, []).append(i)
     adj: list[set[int]] = [set() for _ in faces]
     for bucket in index.values():
@@ -51,21 +53,14 @@ def _graph_from_faces(faces: list[Face]) -> DualGraph:
     return DualGraph(nodes=faces, adj=[sorted(a) for a in adj])
 
 
-def build_dual(X: SimplicialComplex, d: int) -> DualGraph:
-    """Dual graph on the d-faces of X."""
-    faces = sorted(k_faces(X, d))
-    if not faces:
-        raise EmptyDual(f"complex has no {d}-faces")
-    return _graph_from_faces(faces)
-
-
 def johnson_graph(n: int, k: int) -> DualGraph:
     """The Johnson graph J(n, k): k-subsets of [n], adjacent when they
-    intersect in k - 1 elements."""
+    intersect in k - 1 elements; the dual on the (k-1)-faces of the
+    complex of all k-subsets."""
     if not 1 <= k <= n:
         raise InvalidParams(f"need 1 <= k <= n, got n={n}, k={k}")
-    faces = list(combinations(range(1, n + 1), k))
-    return _graph_from_faces(faces)
+    X = SimplicialComplex(n=n, facets=frozenset(combinations(range(1, n + 1), k)))
+    return build_dual(X, k - 1)
 
 
 def _bfs_distances(g: DualGraph, source: int) -> list[int]:

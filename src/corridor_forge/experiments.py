@@ -191,6 +191,8 @@ def johnson_oracle(n: int, d: int) -> int:
     This is the maximum corridor path length achievable on n vertices;
     guarded to C(n, d+1) <= 16 nodes.
     """
+    if n < 1 or d < 0:
+        raise InvalidParams(f"need n >= 1 and d >= 0, got n={n}, d={d}")
     if math.comb(n, d + 1) > 16:
         raise RefusedSize(f"J({n},{d + 1}) has {math.comb(n, d + 1)} nodes")
     return longest_induced_path_bruteforce(johnson_graph(n, d + 1))

@@ -41,21 +41,6 @@ def rank_gf2(m: Gf2Matrix) -> int:
     return len(pivots)
 
 
-def matmul_gf2(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
-    """Product a @ b over GF(2)."""
-    assert a.cols == b.rows
-    out = []
-    for row in a.bits:
-        acc = 0
-        r = row
-        while r:
-            j = (r & -r).bit_length() - 1
-            acc ^= b.bits[j]
-            r &= r - 1
-        out.append(acc)
-    return Gf2Matrix(rows=a.rows, cols=b.cols, bits=out)
-
-
 def boundary_matrix(X: SimplicialComplex, k: int) -> Gf2Matrix:
     """The k-th boundary matrix: column per k-face, row per (k-1)-face.
 
@@ -72,32 +57,6 @@ def boundary_matrix(X: SimplicialComplex, k: int) -> Gf2Matrix:
         for sub in combinations(f, k):
             bits[row_of[sub]] |= 1 << j
     return Gf2Matrix(rows=len(faces_low), cols=len(faces_k), bits=bits)
-
-
-@dataclass
-class ChainComplexRep:
-    """Ordered face lists and boundary matrices of a complex."""
-
-    faces: dict[int, list[Face]]
-    boundaries: dict[int, Gf2Matrix]
-
-    def composition_is_zero(self) -> bool:
-        """Check d_{k-1} @ d_k = 0 for all consecutive pairs."""
-        dims = sorted(self.boundaries)
-        for k in dims:
-            if k - 1 not in self.boundaries:
-                continue
-            prod = matmul_gf2(self.boundaries[k - 1], self.boundaries[k])
-            if any(prod.bits):
-                return False
-        return True
-
-
-def chain_complex(X: SimplicialComplex) -> ChainComplexRep:
-    d = X.dim
-    faces = {k: sorted(k_faces(X, k)) for k in range(d + 1)}
-    boundaries = {k: boundary_matrix(X, k) for k in range(d + 1)}
-    return ChainComplexRep(faces=faces, boundaries=boundaries)
 
 
 def reduced_betti(X: SimplicialComplex, k: int) -> int:

@@ -57,7 +57,7 @@ def _complex_obj(X: SimplicialComplex) -> dict:
     return {
         "n": X.n,
         "d": X.dim,
-        "facets": [list(f) for f in X.sorted_facets()],
+        "facets": [list(f) for f in sorted(X.facets)],
     }
 
 

@@ -213,6 +213,34 @@ class TestFrontDoor:
         assert captured.err.startswith("error:") and f"d={d}" in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("n, d", [("5", "-2"), ("-1", "2")])
+    def test_johnson_oracle_negative(self, capsys, n, d):
+        code, captured = _run(capsys, ["johnson-oracle", "--n", n, "--d", d])
+        assert code == 1
+        assert captured.err.startswith("error:") and f"n={n}, d={d}" in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "generate-corridor --n 20 --d 2 --seed 1 --out {missing}/run.json",
+            "generate-corridor --n 20 --d 2 --seed 1 --record-every 5 --traj-out {missing}/t.csv",
+            "analyze {sphere} --out {missing}/a.json",
+            "bounds --n 10 --d 2 --format csv --out {missing}/b.csv",
+            "experiment --spec {spec} --out-dir {sphere}/runs",
+        ],
+        ids=["out", "traj-out", "analyze-out", "bounds-csv-out", "out-dir-under-file"],
+    )
+    def test_unwritable_output_path(self, tmp_path, capsys, argv):
+        sphere, spec = tmp_path / "sphere.json", tmp_path / "spec.json"
+        save_complex(boundary_corridor(2, 6), str(sphere))
+        spec.write_text(json.dumps({"mode": "corridor", "n": [20], "d": [2], "seeds": [1]}))
+        paths = {"missing": tmp_path / "missing", "sphere": sphere, "spec": spec}
+        code, captured = _run(capsys, [arg.format(**paths) for arg in argv.split()])
+        assert code == 1
+        assert captured.err.startswith("error:") and str(tmp_path) in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_spec_not_json(self, tmp_path, capsys):
         code, captured = self._experiment(tmp_path, capsys, "{mode: corridor")
         assert code == 1

@@ -1,9 +1,7 @@
 import pytest
 
 from corridor_forge.complexes import (
-    boundary_complex_of_simplex,
     boundary_corridor,
-    codim2_skeleton,
     complex_from_facets,
     corridor_face_count,
     f_vector,
@@ -13,6 +11,7 @@ from corridor_forge.complexes import (
     straight_corridor,
 )
 from corridor_forge.errors import DegenerateFace, InvalidParams
+from util import boundary_complex_of_simplex
 
 
 class TestMakeFace:
@@ -145,18 +144,6 @@ class TestIsPseudomanifold:
 
 
 class TestSkeletons:
-    def test_codim2_of_triangle(self):
-        sk = codim2_skeleton((1, 2, 3))
-        assert sk.facets == frozenset({(1,), (2,), (3,)})
-
-    def test_codim2_of_tetrahedron(self):
-        sk = codim2_skeleton((1, 2, 3, 4))
-        assert len(sk.facets) == 6
-        assert all(len(f) == 2 for f in sk.facets)
-
-    def test_codim2_relabeling(self):
-        assert codim2_skeleton((5, 7, 9)).facets == frozenset({(5,), (7,), (9,)})
-
     def test_boundary_of_edge(self):
         b = boundary_complex_of_simplex([1, 2])
         assert b.facets == frozenset({(1,), (2,)})

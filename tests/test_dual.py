@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from scipy.sparse.csgraph import maximum_flow
 
 from corridor_forge import dual
 from corridor_forge.complexes import (
-    boundary_complex_of_simplex,
     boundary_corridor,
     complex_from_facets,
     straight_corridor,
@@ -31,6 +32,7 @@ from corridor_forge.errors import (
     RefusedSize,
 )
 from corridor_forge.pm import pm_diameter_lower
+from util import boundary_complex_of_simplex
 
 
 def path_graph(k):
@@ -137,6 +139,20 @@ class TestBuildDual:
     def test_no_faces(self):
         with pytest.raises(EmptyDual):
             build_dual(complex_from_facets([[1, 2]]), 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sets(st.integers(1, 8), min_size=1, max_size=5), min_size=1, max_size=10))
+    def test_matches_shared_vertex_oracle(self, facets):
+        # facet sizes mix, so for d < dim some d-faces come from larger facets
+        X = complex_from_facets([sorted(f) for f in facets])
+        for d in range(X.dim + 1):
+            nodes = sorted({s for f in X.facets for s in combinations(f, d + 1)})
+            g = build_dual(X, d)
+            assert g.nodes == nodes
+            for i, a in enumerate(nodes):
+                assert g.adj[i] == [
+                    j for j, b in enumerate(nodes) if j != i and len(set(a) & set(b)) == d
+                ]
 
 
 class TestDiameter:

@@ -1,6 +1,6 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package or test module imports is used in that module.
 
-``__init__.py`` is exempt: its imports are the package's re-exports.
+The package's ``__init__.py`` is exempt: its imports are its re-exports.
 """
 
 import ast
@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "corridor_forge"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "corridor_forge"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))  # ids are file names; none is shared with the package
 
 
 def unused_imports(source: str) -> list[str]:

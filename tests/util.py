@@ -3,9 +3,37 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
-from corridor_forge.complexes import SimplicialComplex, complex_from_facets
+from corridor_forge.complexes import SimplicialComplex, complex_from_facets, make_face
+from corridor_forge.gf2 import Gf2Matrix, boundary_matrix
+
+
+def boundary_complex_of_simplex(f) -> SimplicialComplex:
+    """The boundary of the simplex on f (at least 2 vertices): all subsets
+    of one fewer vertex."""
+    face = make_face(f)
+    return SimplicialComplex(
+        n=max(face), facets=frozenset(combinations(face, len(face) - 1))
+    )
+
+
+def matmul_gf2(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
+    """Product a @ b over GF(2): row i of the product is the XOR of the
+    rows of b picked by the set bits of row i of a."""
+    assert a.cols == b.rows
+    picked = ((b.bits[j] for j in range(b.rows) if row >> j & 1) for row in a.bits)
+    return Gf2Matrix(rows=a.rows, cols=b.cols, bits=[reduce(xor, p, 0) for p in picked])
+
+
+def boundary_squares_to_zero(X: SimplicialComplex) -> bool:
+    """Whether d_{k-1} @ d_k = 0 over GF(2) for k = 1..dim X."""
+    return all(
+        not any(matmul_gf2(boundary_matrix(X, k - 1), boundary_matrix(X, k)).bits)
+        for k in range(1, X.dim + 1)
+    )
 
 
 def random_small_complex(rng: random.Random, d: int, max_vertices: int = 12) -> SimplicialComplex:
