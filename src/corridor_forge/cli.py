@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
 
 from . import experiments, serialize
 from .corridor import ProcessConfig, run
-from .errors import CorridorForgeError
+from .errors import CorridorForgeError, InvalidParams
 from .gf2 import reduced_betti
 from .pm import PmConfig, pm_run
 
@@ -40,13 +41,22 @@ def _cmd_generate(args) -> int:
         record_every=args.record_every,
         track_random=args.track_random,
     )
+    traj = (args.traj_out or _default_traj_path(args.out)) if args.record_every > 0 else None
+    for path in (args.out, traj):
+        if path:
+            _require_writable_parent(path)
     report = pm_run(cfg) if pm else run(cfg)
     _write_text(serialize.report_json(report), args.out)
-    if args.record_every > 0:
-        traj = args.traj_out or _default_traj_path(args.out)
-        if traj:
-            serialize.write_trajectory_csv(report.records, cfg, traj)
+    if traj:
+        serialize.write_trajectory_csv(report.records, cfg, traj)
     return 0
+
+
+def _require_writable_parent(path: str):
+    """Fail before a long run, not after it, when path cannot be created."""
+    parent = Path(path).parent
+    if not (parent.is_dir() and os.access(parent, os.W_OK)):
+        raise InvalidParams(f"cannot write {path}: {parent} is not a writable directory")
 
 
 def _default_traj_path(out: str | None) -> str | None:

@@ -49,15 +49,31 @@ class SimplicialComplex:
 
 
 def complex_from_facets(faces, n: int | None = None) -> SimplicialComplex:
-    """Build a complex from candidate facets, dropping dominated ones."""
+    """Build a complex from candidate facets, dropping dominated ones.
+
+    Two distinct faces of one size never contain each other, so same-size
+    input is kept whole. Otherwise each face is tested only against the
+    larger faces through its rarest vertex.
+    """
     canon = {make_face(f) for f in faces}
     if not canon:
         raise InvalidParams("a complex needs at least one facet")
-    maximal = {
-        f
-        for f in canon
-        if not any(f != g and set(f) <= set(g) for g in canon)
-    }
+    if len({len(f) for f in canon}) == 1:
+        maximal = canon
+    else:
+        holders: dict[int, list[frozenset[int]]] = {}
+        for f in canon:
+            g = frozenset(f)
+            for v in f:
+                holders.setdefault(v, []).append(g)
+        maximal = {
+            f
+            for f in canon
+            if not any(
+                len(g) > len(f) and g.issuperset(f)
+                for g in holders[min(f, key=lambda v: len(holders[v]))]
+            )
+        }
     top = max(v for f in maximal for v in f)
     if n is None:
         n = top

@@ -193,6 +193,8 @@ def johnson_oracle(n: int, d: int) -> int:
     """
     if n < 1 or d < 0:
         raise InvalidParams(f"need n >= 1 and d >= 0, got n={n}, d={d}")
+    if d + 1 > n:
+        raise InvalidParams(f"need d + 1 <= n, got n={n}, d={d}")
     if math.comb(n, d + 1) > 16:
         raise RefusedSize(f"J({n},{d + 1}) has {math.comb(n, d + 1)} nodes")
     return longest_induced_path_bruteforce(johnson_graph(n, d + 1))

@@ -2,9 +2,11 @@
 
 The JSON complex object {"n": ..., "d": ..., "facets": [[...], ...]} with
 sorted facets and sorted vertices is the interchange unit for every CLI
-command; it is validated against the embedded schema on both read and
-write, once per object (a run report's image is checked as part of the
-report). Trajectory CSVs have fixed, documented columns (see CSV_COLUMNS).
+command. COMPLEX_SCHEMA and REPORT_SCHEMA document the complex and run
+report formats; check_complex and check_report enforce exactly their
+constraints in one pass, on both read and write, once per object (a run
+report's image is checked as part of the report). Trajectory CSVs have
+fixed, documented columns (see CSV_COLUMNS).
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-
-import jsonschema
 
 from .complexes import SimplicialComplex, complex_from_facets
 from .corridor import ProcessConfig, RunReport, TrajectoryRecord
@@ -53,6 +53,68 @@ REPORT_SCHEMA = {
 }
 
 
+def _fail(at: str, message: str):
+    raise InvalidParams(f"{at}: {message}" if at else message)
+
+
+def _check_int(x, at: str, minimum: int):
+    # a JSON integer: a bool is not one, nor is an integral float
+    if type(x) is not int:
+        _fail(at, f"{x!r} is not of type 'integer'")
+    if x < minimum:
+        _fail(at, f"{x} is less than the minimum of {minimum}")
+
+
+def _check_object(obj, at: str, required: list[str]):
+    if not isinstance(obj, dict):
+        _fail(at, f"{obj!r} is not of type 'object'")
+    for key in required:
+        if key not in obj:
+            _fail(at, f"{key!r} is a required property")
+
+
+def _check_array(x, at: str):
+    if not isinstance(x, list):
+        _fail(at, f"{x!r} is not of type 'array'")
+    if not x:
+        _fail(at, "[] should be non-empty")
+
+
+def check_complex(obj, at: str = "") -> None:
+    """Enforce COMPLEX_SCHEMA on obj in one pass. A failure raises
+    InvalidParams naming the failing location below `at`, e.g.
+    "facets[3][0]: 0 is less than the minimum of 1"."""
+    _check_object(obj, at, COMPLEX_SCHEMA["required"])
+    extra = sorted(obj.keys() - COMPLEX_SCHEMA["properties"].keys(), key=repr)
+    if extra:
+        _fail(at, f"Additional properties are not allowed: {', '.join(map(repr, extra))}")
+    prefix = f"{at}." if at else ""
+    _check_int(obj["n"], prefix + "n", 1)
+    _check_int(obj["d"], prefix + "d", 0)
+    facets = obj["facets"]
+    _check_array(facets, prefix + "facets")
+    for i, facet in enumerate(facets):
+        _check_array(facet, f"{prefix}facets[{i}]")
+        for j, v in enumerate(facet):
+            if type(v) is not int or v < 1:
+                _check_int(v, f"{prefix}facets[{i}][{j}]", 1)
+
+
+def check_report(obj) -> None:
+    """Enforce REPORT_SCHEMA on obj in one pass, ending with its image;
+    failures are reported as by check_complex."""
+    _check_object(obj, "", REPORT_SCHEMA["required"])
+    modes = REPORT_SCHEMA["properties"]["mode"]["enum"]
+    if obj["mode"] not in modes:
+        _fail("mode", f"{obj['mode']!r} is not one of {modes}")
+    if not isinstance(obj["config"], dict):
+        _fail("config", f"{obj['config']!r} is not of type 'object'")
+    _check_int(obj["steps"], "steps", 0)
+    if not isinstance(obj["termination"], str):
+        _fail("termination", f"{obj['termination']!r} is not of type 'string'")
+    check_complex(obj["image"], "image")
+
+
 def _complex_obj(X: SimplicialComplex) -> dict:
     return {
         "n": X.n,
@@ -63,12 +125,16 @@ def _complex_obj(X: SimplicialComplex) -> dict:
 
 def complex_to_dict(X: SimplicialComplex) -> dict:
     obj = _complex_obj(X)
-    jsonschema.validate(obj, COMPLEX_SCHEMA)
+    check_complex(obj)
     return obj
 
 
 def complex_from_dict(obj: dict) -> SimplicialComplex:
-    jsonschema.validate(obj, COMPLEX_SCHEMA)
+    check_complex(obj)
+    return _complex_from_checked(obj)
+
+
+def _complex_from_checked(obj: dict) -> SimplicialComplex:
     X = complex_from_facets(obj["facets"], n=obj["n"])
     if X.dim != obj["d"]:
         raise InvalidParams(
@@ -96,11 +162,18 @@ def read_json(path: str):
 
 
 def load_complex(path: str) -> SimplicialComplex:
+    """The complex in a complex file, or the image of the run report in a
+    report file (an object with a "mode" key)."""
     obj = read_json(path)
+    is_report = isinstance(obj, dict) and "mode" in obj
     try:
+        if is_report:
+            check_report(obj)
+            return _complex_from_checked(obj["image"])
         return complex_from_dict(obj)
-    except jsonschema.ValidationError as err:
-        raise InvalidParams(f"{path} is not a complex object: {err.message}") from None
+    except InvalidParams as err:
+        kind = "a run report" if is_report else "a complex object"
+        raise InvalidParams(f"{path} is not {kind}: {err}") from None
 
 
 def _finite_or_none(x: float | None) -> float | None:
@@ -148,7 +221,7 @@ def _config_to_dict(cfg: ProcessConfig) -> dict:
 
 
 def report_to_dict(report: RunReport) -> dict:
-    """The report as a JSON-ready dict, validated once against
+    """The report as a JSON-ready dict, checked once against
     REPORT_SCHEMA; keys are sorted when written."""
     obj = {
         "config": _config_to_dict(report.config),
@@ -173,7 +246,7 @@ def report_to_dict(report: RunReport) -> dict:
             path_length=report.steps,
             volume_bound=report.config.spec.max_steps(report.config.n, report.config.d),
         )
-    jsonschema.validate(obj, REPORT_SCHEMA)
+    check_report(obj)
     return obj
 
 

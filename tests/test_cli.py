@@ -5,11 +5,11 @@ import warnings
 
 import pytest
 
-from corridor_forge import corridor
+from corridor_forge import cli, corridor
 from corridor_forge.cli import main
 from corridor_forge.complexes import boundary_corridor
 from corridor_forge.errors import VerificationError
-from corridor_forge.serialize import save_complex
+from corridor_forge.serialize import complex_from_dict, save_complex
 
 
 def _run(capsys, argv):
@@ -89,6 +89,17 @@ class TestAnalyzeHomology:
         code, captured = _run(capsys, ["homology", str(path)])
         assert code == 0
         assert json.loads(captured.out)["betti"] == [0, 0, 1]
+
+    @pytest.mark.parametrize("command", ["analyze", "homology"])
+    @pytest.mark.parametrize("process", ["generate-corridor", "generate-pm"])
+    def test_run_report_input(self, tmp_path, capsys, command, process):
+        report, image = tmp_path / "run.json", tmp_path / "image.json"
+        assert main([process, "--n", "20", "--d", "2", "--seed", "1", "--out", str(report)]) == 0
+        save_complex(complex_from_dict(json.loads(report.read_text())["image"]), str(image))
+        from_report = _run(capsys, [command, str(report)])
+        from_image = _run(capsys, [command, str(image)])
+        assert from_report == from_image
+        assert from_report[0] == 0 and from_report[1].out
 
 
 class TestBoundsOracle:
@@ -189,17 +200,18 @@ class TestFrontDoor:
         [
             ("not json at all", "not valid JSON"),
             ('{"n": 5, "facets": [[1, 2, 3]]}', "'d' is a required property"),
-            (None, "not a complex object"),  # a run report, not a complex
+            (  # a run report without its image
+                '{"mode": "corridor", "config": {}, "steps": 2, "termination": "exhausted"}',
+                "not a run report: 'image' is a required property",
+            ),
             ("", "cannot read"),  # no file at the path
+            ('{"n": 3.0, "d": 2, "facets": [[1.0, 2, 3]]}', "n: 3.0 is not of type 'integer'"),
         ],
-        ids=["not-json", "missing-d", "run-report", "missing-path"],
+        ids=["not-json", "missing-d", "run-report", "missing-path", "integral-float"],
     )
     def test_bad_complex_file(self, tmp_path, capsys, command, content, message):
         path = tmp_path / "input.json"
-        if content is None:
-            assert main(["generate-corridor", "--n", "20", "--d", "2", "--seed", "1",
-                         "--out", str(path)]) == 0
-        elif content:
+        if content:
             path.write_text(content)
         code, captured = _run(capsys, [command, str(path)])
         assert code == 1
@@ -213,7 +225,7 @@ class TestFrontDoor:
         assert captured.err.startswith("error:") and f"d={d}" in captured.err
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("n, d", [("5", "-2"), ("-1", "2")])
+    @pytest.mark.parametrize("n, d", [("5", "-2"), ("-1", "2"), ("2", "3")])
     def test_johnson_oracle_negative(self, capsys, n, d):
         code, captured = _run(capsys, ["johnson-oracle", "--n", n, "--d", d])
         assert code == 1
@@ -239,6 +251,23 @@ class TestFrontDoor:
         code, captured = _run(capsys, [arg.format(**paths) for arg in argv.split()])
         assert code == 1
         assert captured.err.startswith("error:") and str(tmp_path) in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["generate-corridor", "generate-pm"])
+    @pytest.mark.parametrize("flag", ["--out", "--traj-out"])
+    def test_unwritable_output_fails_before_the_run(self, tmp_path, capsys, monkeypatch, command, flag):
+        def never(cfg):
+            raise AssertionError("the process ran")
+
+        monkeypatch.setattr(cli, "run", never)
+        monkeypatch.setattr(cli, "pm_run", never)
+        path = tmp_path / "missing" / "x"
+        code, captured = _run(
+            capsys,
+            [command, "--n", "20", "--d", "2", "--seed", "1", "--record-every", "5", flag, str(path)],
+        )
+        assert code == 1
+        assert captured.err.startswith(f"error: cannot write {path}")
         assert captured.err.count("\n") == 1
 
     def test_spec_not_json(self, tmp_path, capsys):

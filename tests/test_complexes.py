@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corridor_forge.complexes import (
     boundary_corridor,
@@ -11,7 +13,7 @@ from corridor_forge.complexes import (
     straight_corridor,
 )
 from corridor_forge.errors import DegenerateFace, InvalidParams
-from util import boundary_complex_of_simplex
+from util import boundary_complex_of_simplex, oracle_maximal_facets
 
 
 class TestMakeFace:
@@ -164,3 +166,38 @@ class TestComplexFromFacets:
     def test_vertex_bound_enforced(self):
         with pytest.raises(InvalidParams):
             complex_from_facets([[1, 5]], n=4)
+
+
+@st.composite
+def candidate_facets(draw, same_size=False):
+    """Candidate facets over [9] in shuffled order, with repeats in
+    permuted vertex order and, unless same_size, proper subsets of the
+    drawn faces."""
+    if same_size:
+        size = st.just(draw(st.integers(1, 4)))
+    else:
+        size = st.integers(1, 5)
+    face = size.flatmap(lambda k: st.lists(st.integers(1, 9), min_size=k, max_size=k, unique=True))
+    base = draw(st.lists(face, min_size=1, max_size=12))
+    faces = list(base)
+    if not same_size:
+        for f in draw(st.lists(st.sampled_from(base), max_size=6)):
+            faces.append(draw(st.permutations(f))[: draw(st.integers(1, len(f)))])
+    for f in draw(st.lists(st.sampled_from(base), max_size=6)):
+        faces.append(draw(st.permutations(f)))
+    return draw(st.permutations(faces))
+
+
+class TestDominationOracle:
+    """The indexed domination test keeps exactly the faces the all-pairs
+    scan keeps."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(candidate_facets())
+    def test_mixed_sizes_match_oracle(self, faces):
+        assert complex_from_facets(faces).facets == oracle_maximal_facets(faces)
+
+    @settings(max_examples=100, deadline=None)
+    @given(candidate_facets(same_size=True))
+    def test_same_size_matches_oracle(self, faces):
+        assert complex_from_facets(faces).facets == oracle_maximal_facets(faces)

@@ -4,12 +4,19 @@ import json
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corridor_forge import serialize
 from corridor_forge.complexes import SimplicialComplex, boundary_corridor, straight_corridor
 from corridor_forge.corridor import ProcessConfig, run
 from corridor_forge.errors import InvalidParams
 from corridor_forge.pm import PmConfig, pm_run
 from corridor_forge.serialize import (
+    COMPLEX_SCHEMA,
+    REPORT_SCHEMA,
+    check_complex,
+    check_report,
     complex_from_dict,
     complex_to_dict,
     csv_columns,
@@ -33,11 +40,11 @@ class TestComplexRoundTrip:
         assert load_complex(str(path)) == X
 
     def test_schema_rejects_missing_field(self):
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(InvalidParams, match="'d' is a required property"):
             complex_from_dict({"n": 5, "facets": [[1, 2, 3]]})
 
     def test_schema_rejects_bad_vertex(self):
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(InvalidParams, match=r"facets\[0\]\[0\]: 0 is less than the minimum of 1"):
             complex_from_dict({"n": 5, "d": 2, "facets": [[0, 1, 2]]})
 
     def test_dimension_mismatch(self):
@@ -74,13 +81,13 @@ class TestValidation:
     @pytest.mark.parametrize("serializer", [report_json, report_to_dict])
     def test_one_validation_per_report(self, monkeypatch, serializer):
         calls = []
-        real = jsonschema.validate
+        real = serialize.check_report
 
-        def counting(instance, schema, *args, **kwargs):
-            calls.append(schema)
-            return real(instance, schema, *args, **kwargs)
+        def counting(obj):
+            calls.append(obj)
+            return real(obj)
 
-        monkeypatch.setattr(jsonschema, "validate", counting)
+        monkeypatch.setattr(serialize, "check_report", counting)
         serializer(run(ProcessConfig(n=30, d=2, seed=1)))
         assert len(calls) == 1
 
@@ -90,12 +97,130 @@ class TestValidation:
     def test_bad_image_rejected(self, tmp_path, facets):
         bad = SimplicialComplex(n=5, facets=frozenset(facets))
         report = dataclasses.replace(run(ProcessConfig(n=30, d=2, seed=1)), image=bad)
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(InvalidParams):
             report_json(report)
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(InvalidParams):
             report_to_dict(report)
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(InvalidParams):
             save_complex(bad, str(tmp_path / "bad.json"))
+
+
+# jsonschema with "integer" meaning a Python int, so that neither a bool nor
+# an integral float such as 3.0 counts as one
+OracleValidator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, x: type(x) is int
+    ),
+)
+
+# values that break some constraint wherever they land, and some that
+# happen to satisfy one
+ODD_VALUES = st.one_of(
+    st.integers(-2, 1),
+    st.booleans(),
+    st.sampled_from([0.0, 1.0, 3.0, 2.5]),
+    st.none(),
+    st.text(max_size=2),
+    st.lists(st.integers(-1, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+def _spots(obj):
+    """Every (container, key) position inside obj."""
+    spots, stack = [], [obj]
+    while stack:
+        c = stack.pop()
+        for key in list(c.keys() if isinstance(c, dict) else range(len(c))):
+            spots.append((c, key))
+            if isinstance(c[key], (dict, list)):
+                stack.append(c[key])
+    return spots
+
+
+@st.composite
+def damaged(draw, obj):
+    """obj with up to two positions replaced, deleted or added to, or
+    (rarely) obj replaced as a whole."""
+    for _ in range(draw(st.integers(0, 2))):
+        spots = _spots(obj)
+        if not spots:
+            break
+        container, key = draw(st.sampled_from(spots))
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace":
+            container[key] = draw(ODD_VALUES)
+        elif action == "delete":
+            del container[key]
+        elif isinstance(container, dict):
+            container[draw(st.sampled_from(["x", "mode", "image", "N"]))] = draw(ODD_VALUES)
+        else:
+            container.append(draw(ODD_VALUES))
+    return draw(st.one_of(st.just(obj), ODD_VALUES)) if draw(st.integers(0, 19)) == 0 else obj
+
+
+def valid_complexes():
+    return st.fixed_dictionaries(
+        {
+            "n": st.integers(1, 12),
+            "d": st.integers(0, 4),
+            "facets": st.lists(
+                st.lists(st.integers(1, 12), min_size=1, max_size=4), min_size=1, max_size=4
+            ),
+        }
+    )
+
+
+def valid_reports():
+    return st.fixed_dictionaries(
+        {
+            "mode": st.sampled_from(["corridor", "pm"]),
+            "config": st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+            "steps": st.integers(0, 50),
+            "termination": st.text(max_size=3),
+            "image": valid_complexes(),
+        },
+        optional={"trajectory": st.lists(st.integers(), max_size=2)},
+    )
+
+
+def _accepts(check, obj) -> bool:
+    try:
+        check(obj)
+    except InvalidParams:
+        return False
+    return True
+
+
+class TestCheckAgainstJsonschema:
+    """The hand-written checks accept exactly what jsonschema accepts."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(valid_complexes().flatmap(damaged))
+    def test_check_complex(self, obj):
+        assert _accepts(check_complex, obj) == OracleValidator(COMPLEX_SCHEMA).is_valid(obj)
+
+    @settings(max_examples=500, deadline=None)
+    @given(valid_reports().flatmap(damaged))
+    def test_check_report(self, obj):
+        assert _accepts(check_report, obj) == OracleValidator(REPORT_SCHEMA).is_valid(obj)
+
+    def test_integral_float_rejected(self):
+        obj = {"n": 3.0, "d": 2, "facets": [[1.0, 2, 3]]}
+        assert jsonschema.Draft202012Validator(COMPLEX_SCHEMA).is_valid(obj)
+        with pytest.raises(InvalidParams, match="n: 3.0 is not of type 'integer'"):
+            check_complex(obj)
+
+    def test_bool_is_not_an_integer(self):
+        with pytest.raises(InvalidParams, match=r"facets\[0\]\[1\]: True is not of type"):
+            check_complex({"n": 3, "d": 1, "facets": [[1, True]]})
+
+    def test_report_image_location(self):
+        obj = json.loads(report_json(run(ProcessConfig(n=30, d=2, seed=1))))
+        obj["image"]["facets"][3][0] = 0
+        with pytest.raises(InvalidParams, match=r"^image\.facets\[3\]\[0\]: 0 is less than"):
+            check_report(obj)
 
 
 class TestTrajectoryCsv:

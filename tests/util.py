@@ -36,6 +36,15 @@ def boundary_squares_to_zero(X: SimplicialComplex) -> bool:
     )
 
 
+def oracle_maximal_facets(faces) -> frozenset[tuple[int, ...]]:
+    """The canonical faces not contained in another one, by testing every
+    pair: the O(F^2) oracle for complex_from_facets."""
+    canon = {make_face(f) for f in faces}
+    return frozenset(
+        f for f in canon if not any(f != g and set(f) <= set(g) for g in canon)
+    )
+
+
 def random_small_complex(rng: random.Random, d: int, max_vertices: int = 12) -> SimplicialComplex:
     """A random complex with at most d facets of dimension at most d on
     at most max_vertices vertices (the few-facet lemma's hypothesis)."""
