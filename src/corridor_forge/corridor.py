@@ -38,7 +38,6 @@ from .trajectory import (
     TrackedComplex,
     TrajectoryTracker,
     band_halfwidth,
-    face_boundary,
     predicted_y,
     tracked_complex,
     z_statistic,
@@ -154,6 +153,10 @@ class ProcessConfig:
         floor = w + 2 if self.allow_small_n else 4 * w + 2
         if self.n < floor:
             raise InvalidParams(f"need n >= {floor}, got n={self.n}")
+        if self.record_every and self.track_link and self.n < 2 * w:
+            raise InvalidParams(
+                f"tracking the link needs 2w = {2 * w} vertices, got n={self.n}"
+            )
 
 
 @dataclass
@@ -209,23 +212,15 @@ def default_tracked_family(config: ProcessConfig) -> list[TrackedComplex]:
     for name, faces in config.track:
         tracked.append(tracked_complex(name, faces, d, max_v, max_size))
     for idx in range(config.track_random):
-        face = sorted(rng.sample(range(1, n + 1), d))
-        tracked.append(
-            tracked_complex(
-                f"rand{idx}", face_boundary(face), d, max_v, max_size
-            )
-        )
+        boundary = combinations(rng.sample(range(1, n + 1), d), d - 1)
+        tracked.append(tracked_complex(f"rand{idx}", boundary, d, max_v, max_size))
     if config.track_link:
         vertices = rng.sample(range(1, n + 1), 2 * w)
-        faces = set()
-        for a in range(0, w + 1):
-            window = vertices[a : a + w]
-            faces.update(
-                tuple(sorted(sub)) for sub in combinations(window, d - 1)
-            )
-        tracked.append(
-            tracked_complex("link", sorted(faces), d, max_v, max_size)
-        )
+        windows = (vertices[a : a + w] for a in range(w + 1))
+        faces = {
+            tuple(sorted(sub)) for win in windows for sub in combinations(win, d - 1)
+        }
+        tracked.append(tracked_complex("link", faces, d, max_v, max_size))
     return tracked
 
 
@@ -236,16 +231,16 @@ def init(config: ProcessConfig) -> ProcessState:
     n, d = config.n, config.d
     rng = random.Random(config.seed)
     start = rng.sample(range(1, n + 1), config.spec.width(d) + 1)
-    closed_faces = [tuple(sorted(c)) for c in combinations(start, d)]
     state = ProcessState(config=config, phi=list(start), masks={}, step=0, rng=rng)
-    for f in closed_faces:
-        close_face(state.masks, f)
     if config.record_every > 0:
         state.tracker = TrajectoryTracker(
-            n=n, period=config.spec.period(d), tracked=default_tracked_family(config)
+            n, config.spec.period(d), default_tracked_family(config), state.masks
         )
-        for f in closed_faces:
-            state.tracker.note_closure(f, 0)
+    for c in combinations(start, d):
+        face = tuple(sorted(c))
+        if state.tracker is not None:
+            state.tracker.note_closure(face, 0)
+        close_face(state.masks, face)
     return state
 
 
@@ -290,9 +285,9 @@ def step(state: ProcessState, scan: tuple[int, BitChoices] | None = None) -> boo
     round_no = state.step + 1
     for tau in combinations(window, d - 1):
         face = tuple(sorted(tau + (v,)))
-        close_face(state.masks, face)
         if state.tracker is not None:
             state.tracker.note_closure(face, round_no)
+        close_face(state.masks, face)
     state.phi.append(v)
     state.step += 1
     return True
@@ -311,9 +306,9 @@ def _record(state: ProcessState, terminal_y: int) -> TrajectoryRecord:
     except OutOfRegime:
         e_val = band = None
     entries: dict[str, TrajectoryEntry] = {}
-    snap = state.tracker.snapshot(i)
+    snap = state.tracker.snapshot()
     for tc in state.tracker.tracked:
-        w = snap.w[tc.name]
+        y, w = snap[tc.name]
         pred = predicted_y(n, p, tc.size) if p >= 0 else None
         z = None
         if band is not None:
@@ -321,7 +316,7 @@ def _record(state: ProcessState, terminal_y: int) -> TrajectoryRecord:
                 z_statistic(wj, n, p, tc.size, e_val, period) for wj in w
             )
         entries[tc.name] = TrajectoryEntry(
-            size=tc.size, y=snap.y[tc.name], w=w, pred=pred, band=band, z=z
+            size=tc.size, y=y, w=w, pred=pred, band=band, z=z
         )
     return TrajectoryRecord(step=i, t=t, p=p, terminal_y=terminal_y, entries=entries)
 
@@ -346,7 +341,7 @@ def verify_process(state: ProcessState):
     """Recheck what every exhausted run guarantees: the step count is
     within the volume bound, the closure index holds each closed face once
     per vertex (so no face was closed twice: a repeat sets no new bit), and
-    each tracked complex keeps Y_A = n - v_A - sum_j W_{A,j}."""
+    each tracked complex's W_{A,j} sum to n - v_A - Y_A, Y_A read from it."""
     cfg = state.config
     d, spec = cfg.d, cfg.spec
     if state.step > spec.max_steps(cfg.n, d):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -22,7 +21,7 @@ from .dual import (
 )
 from .errors import InvalidParams, RefusedSize, VerificationError
 from .pm import PmConfig, hpm_upper, pm_run
-from .serialize import report_to_dict
+from .serialize import report_json
 
 THREADS_ENV = "CORRIDOR_FORGE_THREADS"
 
@@ -94,7 +93,8 @@ class ExperimentSpec:
         return spec
 
 
-def _task(args) -> dict:
+def _task(args) -> tuple[int, str]:
+    """(steps, report_json text) of one seeded run."""
     mode, n, d, seed, record_every, track_random = args
     cfg = CONFIGS[mode](
         n=n, d=d, seed=seed, record_every=record_every, track_random=track_random
@@ -103,7 +103,7 @@ def _task(args) -> dict:
         report = pm_run(cfg) if mode == "pm" else run(cfg)
     except VerificationError as err:
         raise VerificationError(f"seed {seed}: {err}") from err
-    return report_to_dict(report)
+    return report.steps, report_json(report)
 
 
 def first_order_steps(mode: str, n: int, d: int) -> float:
@@ -111,9 +111,10 @@ def first_order_steps(mode: str, n: int, d: int) -> float:
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> list[dict]:
-    """Execute every grid point seed-parallel; write one JSON report per
-    run and a summary CSV. Any run failing its verification invariants
-    aborts with the offending seed in the message."""
+    """Execute every grid point seed-parallel; write one canonical JSON
+    report per run (the bytes of ``report_json``) and a summary CSV. Any
+    run failing its verification invariants aborts with the offending
+    seed in the message."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary: list[dict] = []
@@ -127,20 +128,16 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> list[dict]:
             try:
                 if workers > 1 and len(jobs) > 1:
                     with ProcessPoolExecutor(max_workers=workers) as pool:
-                        reports = list(pool.map(_task, jobs))
+                        results = list(pool.map(_task, jobs))
                 else:
-                    reports = [_task(j) for j in jobs]
+                    results = [_task(j) for j in jobs]
             except VerificationError as err:
                 raise VerificationError(
                     f"verification failed in grid point n={n} d={d}: {err}"
                 ) from err
-            steps = []
-            for seed, rep in zip(spec.seeds, reports):
-                steps.append(rep["steps"])
-                name = f"{spec.mode}_n{n}_d{d}_seed{seed}.json"
-                with open(out / name, "w") as fh:
-                    json.dump(rep, fh, sort_keys=True)
-                    fh.write("\n")
+            steps = [k for k, _ in results]
+            for seed, (_, text) in zip(spec.seeds, results):
+                (out / f"{spec.mode}_n{n}_d{d}_seed{seed}.json").write_text(text)
             exact = CONFIGS[spec.mode].spec.max_steps(n, d)
             mean = sum(steps) / len(steps)
             summary.append(

@@ -1,15 +1,13 @@
 """Dynamic-concentration bookkeeping shared by both mapping processes.
 
-A tracked subcomplex A is a set of (d-2)-faces. The tracker maintains
-Y_A = { v outside A : no closed face is tau + {v} for tau in A } and the
-removal counters W_{A,j}, where j is the step number modulo the
-subsequence period 3w+1 for a window of w vertices (3d+1 for the corridor
-process, 3d+4 for the pseudomanifold process). The identity
-
-    Y_A = n - v_A - sum_j W_{A,j}
-
-holds exactly at every step because the initial closures are processed as
-round-0 removals.
+A tracked subcomplex A is a set of (d-2)-faces. The tracker reads
+Y_A = { v outside A : no closed face is tau + {v} for tau in A } from the
+run's closure index and counts the removals W_{A,j}: a closure that first
+takes a vertex out of Y_A counts at its round j modulo the subsequence
+period 3w+1 for a window of w vertices (3d+1 for the corridor process,
+3d+4 for the pseudomanifold process), the start's closures at round 0.
+So Y_A = n - v_A - sum_j W_{A,j} at every step, and checking that identity
+checks the counters against the closure index.
 """
 
 from __future__ import annotations
@@ -48,6 +46,8 @@ def tracked_complex(name: str, faces, d: int, max_v: int, max_size: int) -> Trac
         raise InvalidTrackedComplex(
             f"{name}: tracked faces must have {d - 1} vertices"
         )
+    if len(set(canon)) < len(canon):
+        raise InvalidTrackedComplex(f"{name}: a tracked face is repeated")
     tc = TrackedComplex(name=name, faces=canon)
     if tc.v_count > max_v or tc.size > max_size:
         raise InvalidTrackedComplex(
@@ -56,63 +56,60 @@ def tracked_complex(name: str, faces, d: int, max_v: int, max_size: int) -> Trac
     return tc
 
 
-def face_boundary(face) -> list[Face]:
-    """The codimension-1 subfaces of a face."""
-    f = make_face(face)
-    return [s for s in combinations(f, len(f) - 1)]
-
-
-@dataclass
-class TrackerSnapshot:
-    step: int
-    y: dict[str, int]
-    w: dict[str, tuple[int, ...]]
-
-
 class TrajectoryTracker:
-    """Incremental Y_A / W_{A,j} maintenance for a fixed tracked family."""
+    """W_{A,j} counters for a fixed tracked family of distinctly named
+    complexes on [n]; Y_A is read from ``masks``, the run's closure index."""
 
-    def __init__(self, n: int, period: int, tracked: list[TrackedComplex]):
+    def __init__(self, n: int, period: int, tracked: list[TrackedComplex], masks):
         self.n = n
         self.period = period
         self.tracked = list(tracked)
-        self.y_sets: dict[str, set[int]] = {}
-        self.w: dict[str, list[int]] = {}
-        # (d-2)-face -> list of (tracked name, face) entries sharing it
-        self.index: dict[Face, list[str]] = {}
+        self.masks = masks
+        self.w = {tc.name: [0] * period for tc in self.tracked}
+        if len(self.w) < len(self.tracked):
+            names = [tc.name for tc in self.tracked]
+            twice = sorted({x for x in names if names.count(x) > 1})
+            raise InvalidTrackedComplex(f"tracked complex names used twice: {twice}")
+        self.v_bits = {tc.name: sum(1 << v for v in tc.vertices) for tc in self.tracked}
+        outside = [name for name, bits in self.v_bits.items() if bits >> n + 1]
+        if outside:
+            raise InvalidTrackedComplex(f"{outside}: tracked vertices must lie in [1, {n}]")
+        # (d-2)-face -> the tracked complexes that contain it
+        self.index: dict[Face, list[TrackedComplex]] = {}
         for tc in self.tracked:
-            self.y_sets[tc.name] = set(range(1, n + 1)) - tc.vertices
-            self.w[tc.name] = [0] * period
             for f in tc.faces:
-                self.index.setdefault(f, []).append(tc.name)
+                self.index.setdefault(f, []).append(tc)
+
+    def _out(self, tc: TrackedComplex) -> int:
+        """Bitmask of the vertices of [n] outside Y_A: those of A and each
+        v with tau + {v} closed for some tau in A."""
+        out = self.v_bits[tc.name]
+        for tau in tc.faces:
+            out |= self.masks.get(tau, 0)
+        return out
 
     def note_closure(self, face: Face, round_no: int):
-        """Process one newly closed (d-1)-face at the given round number."""
-        j = round_no % self.period
+        """Count the removals from Y_A that closing the sorted (d-1)-face
+        makes at the given round; call it before the face is closed."""
         for sub in combinations(face, len(face) - 1):
-            names = self.index.get(sub)
-            if not names:
+            hits = self.index.get(sub)
+            if not hits:
                 continue
-            (v,) = set(face) - set(sub)
-            for name in names:
-                ys = self.y_sets[name]
-                if v in ys:
-                    ys.remove(v)
-                    self.w[name][j] += 1
+            v = sum(face) - sum(sub)
+            for tc in hits:
+                if not self._out(tc) >> v & 1:
+                    self.w[tc.name][round_no % self.period] += 1
 
     def identity_holds(self, tc: TrackedComplex) -> bool:
-        return (
-            len(self.y_sets[tc.name]) + tc.v_count + sum(self.w[tc.name])
-            == self.n
-        )
+        """Y_A = n - v_A - sum_j W_{A,j}, with Y_A from the closure index."""
+        return self._out(tc).bit_count() == tc.v_count + sum(self.w[tc.name])
 
-    def snapshot(self, step: int) -> TrackerSnapshot:
-        """The current Y_A and W_{A,j} of every tracked complex."""
-        return TrackerSnapshot(
-            step=step,
-            y={tc.name: len(self.y_sets[tc.name]) for tc in self.tracked},
-            w={tc.name: tuple(self.w[tc.name]) for tc in self.tracked},
-        )
+    def snapshot(self) -> dict[str, tuple[int, tuple[int, ...]]]:
+        """Name -> (Y_A, W_{A,j} tuple) for every tracked complex."""
+        return {
+            tc.name: (self.n - self._out(tc).bit_count(), tuple(self.w[tc.name]))
+            for tc in self.tracked
+        }
 
 
 def predicted_y(n: int, p: float, size_a: int) -> float:

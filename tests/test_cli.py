@@ -160,6 +160,16 @@ class TestExperiment:
         assert len(rows) == 1
         assert float(rows[0]["ratio"]) <= 1.0
 
+    def test_reports_are_canonical_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CORRIDOR_FORGE_THREADS", "1")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"mode": "corridor", "n": [20], "d": [2], "seeds": [1]}))
+        out_dir, single = tmp_path / "runs", tmp_path / "run.json"
+        assert main(["experiment", "--spec", str(spec), "--out-dir", str(out_dir)]) == 0
+        argv = ["generate-corridor", "--n", "20", "--d", "2", "--seed", "1"]
+        assert main(argv + ["--out", str(single)]) == 0
+        assert (out_dir / "corridor_n20_d2_seed1.json").read_bytes() == single.read_bytes()
+
 
 class TestFrontDoor:
     """Bad input prints one error line and exits 1, never a traceback."""

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corridor_forge import corridor
 from corridor_forge.complexes import straight_corridor
@@ -31,7 +33,8 @@ from corridor_forge.errors import (
 )
 from corridor_forge.pm import PmConfig, pm_run
 from corridor_forge.serialize import report_json
-from util import closed_faces
+from corridor_forge.trajectory import TrajectoryTracker
+from util import closed_faces, oracle_snapshot
 
 
 class TestInit:
@@ -59,6 +62,13 @@ class TestInit:
     def test_negative_counts_rejected(self, config_cls, field):
         with pytest.raises(InvalidParams, match=">= 0"):
             init(config_cls(n=40, d=2, seed=0, **{field: -1}))
+
+    @pytest.mark.parametrize("config_cls, d", [(ProcessConfig, 3), (PmConfig, 2)])
+    def test_link_needs_2w_vertices(self, config_cls, d):
+        cfg = dict(n=5, d=d, seed=0, record_every=1, allow_small_n=True)
+        with pytest.raises(InvalidParams, match=r"2w = 6 vertices, got n=5"):
+            init(config_cls(**cfg))
+        assert init(config_cls(**cfg, track_link=False)).tracker is not None
 
     def test_tracker_created_with_recording(self):
         state = init(ProcessConfig(n=30, d=2, seed=1, record_every=5))
@@ -187,6 +197,47 @@ class TestTrackedFamily:
         with pytest.raises(InvalidTrackedComplex):
             default_tracked_family(cfg)
 
+    @pytest.mark.parametrize("name", ["link", "rand0"])
+    def test_duplicate_name_rejected(self, name):
+        cfg = ProcessConfig(
+            n=40, d=2, seed=1, record_every=10, track=((name, ((1,), (2,))),)
+        )
+        with pytest.raises(InvalidTrackedComplex, match=f"used twice: \\['{name}'\\]"):
+            run(cfg)
+
+    @pytest.mark.parametrize(
+        "faces, message",
+        [
+            (((1,), (1,), (2,)), "e: a tracked face is repeated"),
+            (((39,), (41,)), r"\['e'\]: tracked vertices must lie in \[1, 40\]"),
+        ],
+    )
+    def test_bad_custom_entry_rejected(self, faces, message):
+        cfg = ProcessConfig(n=40, d=2, seed=1, record_every=10, track=(("e", faces),))
+        with pytest.raises(InvalidTrackedComplex, match=message):
+            run(cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    config_cls=st.sampled_from([ProcessConfig, PmConfig]),
+    d=st.sampled_from([2, 3]),
+    extra_n=st.integers(0, 20),
+    seed=st.integers(0, 2**32 - 1),
+    prefix=st.integers(0, 60),
+)
+def test_tracker_matches_oracle(config_cls, d, extra_n, seed, prefix):
+    """Y_A and W_{A,j} equal their from-phi oracle at every state."""
+    w = config_cls.spec.width(d)
+    state = init(
+        config_cls(n=2 * w + extra_n, d=d, seed=seed, record_every=1, allow_small_n=True)
+    )
+    assert state.tracker.snapshot() == oracle_snapshot(state)
+    for _ in range(prefix):
+        if not step(state):
+            break
+        assert state.tracker.snapshot() == oracle_snapshot(state)
+
 
 class TestTrackerIdentity:
     def test_identity_every_step(self):
@@ -197,6 +248,21 @@ class TestTrackerIdentity:
                 break
             for tc in tracker.tracked:
                 assert tracker.identity_holds(tc)
+
+    def test_skipped_subface_breaks_identity(self, monkeypatch):
+        """A note_closure that misses the subface without the face's first
+        vertex miscounts W; the verifier must see it in the closure index."""
+        note_closure = TrajectoryTracker.note_closure
+
+        def skip_one_subface(self, face, round_no):
+            hidden = self.index.pop(face[1:], None)
+            note_closure(self, face, round_no)
+            if hidden is not None:
+                self.index[face[1:]] = hidden
+
+        monkeypatch.setattr(TrajectoryTracker, "note_closure", skip_one_subface)
+        with pytest.raises(VerificationError, match="Y/W identity broken"):
+            run(ProcessConfig(n=40, d=2, seed=0, record_every=10))
 
 
 class TestRun:

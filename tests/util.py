@@ -56,16 +56,46 @@ def random_small_complex(rng: random.Random, d: int, max_vertices: int = 12) -> 
     return complex_from_facets(facets)
 
 
-def closed_faces(state) -> set[tuple[int, ...]]:
+def closure_rounds(state) -> dict[tuple[int, ...], int]:
     """The closed (d-1)-faces of a process state, rebuilt from the mapped
-    vertices alone: every d-subset of the w+1 start vertices, then
-    tau + {phi_k} for each (d-1)-subset tau of the w vertices before each
-    later phi_k."""
+    vertices alone, each with the round that closed it: every d-subset of
+    the w+1 start vertices at round 0, then tau + {phi[m]} at round m - w
+    for each (d-1)-subset tau of the w vertices before each later phi[m]."""
     d = state.config.d
     w = state.config.spec.width(d)
     phi = state.phi
-    faces = {tuple(sorted(f)) for f in combinations(phi[: w + 1], d)}
-    for k in range(w + 1, len(phi)):
-        for tau in combinations(phi[k - w : k], d - 1):
-            faces.add(tuple(sorted(tau + (phi[k],))))
-    return faces
+    rounds = {tuple(sorted(f)): 0 for f in combinations(phi[: w + 1], d)}
+    for m in range(w + 1, len(phi)):
+        for tau in combinations(phi[m - w : m], d - 1):
+            rounds[tuple(sorted(tau + (phi[m],)))] = m - w
+    return rounds
+
+
+def closed_faces(state) -> set[tuple[int, ...]]:
+    """The closed (d-1)-faces of a process state, from the mapped vertices
+    alone."""
+    return set(closure_rounds(state))
+
+
+def oracle_snapshot(state) -> dict[str, tuple[int, tuple[int, ...]]]:
+    """Name -> (Y_A, W_{A,j} tuple) for each tracked complex of a state,
+    from the mapped vertices alone: a vertex v outside A leaves Y_A at the
+    smallest round of a closed face tau + {v} with tau in A, and counts in
+    W at that round modulo the period."""
+    n, d = state.config.n, state.config.d
+    period = state.config.spec.period(d)
+    rounds = closure_rounds(state)
+    snapshot = {}
+    for tc in state.tracker.tracked:
+        faces, vertices = set(tc.faces), tc.vertices
+        left: dict[int, int] = {}  # vertex -> round it left Y_A
+        for face, r in rounds.items():
+            for v in face:
+                if v not in vertices and tuple(u for u in face if u != v) in faces:
+                    left[v] = min(r, left.get(v, r))
+        w = [0] * period
+        for r in left.values():
+            w[r % period] += 1
+        y = sum(1 for v in range(1, n + 1) if v not in vertices and v not in left)
+        snapshot[tc.name] = (y, tuple(w))
+    return snapshot
