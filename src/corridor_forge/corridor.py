@@ -18,9 +18,11 @@ follows from it:
 - the image maps the structure, the d-faces of SC_w(M) in exactly one
   window, through phi; verify_run proves it a faithful copy
 
-The corridor process has w = d and the structure SC_d(M), so the image's
-dual graph is an induced path in the Johnson graph J(n, d+1). The
-pseudomanifold process (w = d+1) lives in pm.py.
+run(config) is the one pipeline of both processes: simulate, assemble,
+build the report, verify. The corridor process has w = d and the
+structure SC_d(M), so the image's dual graph is an induced path in the
+Johnson graph J(n, d+1). The pseudomanifold process (w = d+1) lives in
+pm.py, which adds its analysis to run's report.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ class ProcessSpec:
 
         Vacuously larger than n at desk scale; reported for completeness.
         """
-        p = 1.0 - self.rate(d) * math.factorial(d) * t
+        p = self.p(n, d, t * n**d)
         return band_halfwidth(n, self.error_function(d, p))
 
 
@@ -175,9 +177,9 @@ class TrajectoryEntry:
     size: int
     y: int
     w: tuple[int, ...]
-    pred: float | None
-    band: float | None
-    z: tuple[float, ...] | None
+    pred: float
+    band: float  # inf once e(t) overflows
+    z: tuple[float, ...]
 
 
 @dataclass
@@ -294,29 +296,23 @@ def step(state: ProcessState, scan: tuple[int, BitChoices] | None = None) -> boo
 
 
 def _record(state: ProcessState, terminal_y: int) -> TrajectoryRecord:
+    """The tracked statistics at this step. p > 0 here: within the volume
+    bound, p >= 1 - d! C(n, d) / n^d."""
     cfg = state.config
     spec, n, d = cfg.spec, cfg.n, cfg.d
     i = state.step
     t = i / n**d
     p = spec.p(n, d, i)
     period = spec.period(d)
-    try:
-        e_val = spec.error_function(d, p)
-        band = band_halfwidth(n, e_val)
-    except OutOfRegime:
-        e_val = band = None
+    e_val = spec.error_function(d, p)
+    band = band_halfwidth(n, e_val)
     entries: dict[str, TrajectoryEntry] = {}
     snap = state.tracker.snapshot()
     for tc in state.tracker.tracked:
         y, w = snap[tc.name]
-        pred = predicted_y(n, p, tc.size) if p >= 0 else None
-        z = None
-        if band is not None:
-            z = tuple(
-                z_statistic(wj, n, p, tc.size, e_val, period) for wj in w
-            )
+        z = tuple(z_statistic(wj, n, p, tc.size, e_val, period) for wj in w)
         entries[tc.name] = TrajectoryEntry(
-            size=tc.size, y=y, w=w, pred=pred, band=band, z=z
+            size=tc.size, y=y, w=w, pred=predicted_y(n, p, tc.size), band=band, z=z
         )
     return TrajectoryRecord(step=i, t=t, p=p, terminal_y=terminal_y, entries=entries)
 
@@ -365,7 +361,8 @@ def assemble(state: ProcessState) -> tuple[SimplicialComplex, SimplicialComplex]
 
 
 def run(config: ProcessConfig) -> RunReport:
-    """Run the corridor process to exhaustion, assemble the image, verify."""
+    """The pipeline of both processes, the one of ``config.spec``: run it
+    to exhaustion, assemble the image, build the report, verify it."""
     state, records = simulate(config)
     image, structural = assemble(state)
     report = RunReport(
@@ -387,8 +384,6 @@ def first_band_exit(records: list[TrajectoryRecord], n: int) -> int | None:
     """
     for rec in records:
         for entry in rec.entries.values():
-            if entry.band is None:
-                continue
             period = len(entry.w)
             center = n * (1.0 - rec.p**entry.size)
             lo = (center - entry.band) / period
@@ -402,12 +397,10 @@ def verify_run(report: RunReport, state: ProcessState, structural: SimplicialCom
     """Recheck a run of either process: verify_process, then that phi is
     injective on the structure's d- and (d-1)-faces (two d-faces share at
     most one (d-1)-face, so the image's dual graph is then a copy of the
-    structure's). Returns the image's number of (d-1)-faces."""
+    structure's)."""
     d = report.config.d
     verify_process(state)
     if len(report.image.facets) != len(structural.facets):
         raise VerificationError("image not injective on d-faces")
-    image_low = len(k_faces(report.image, d - 1))
-    if image_low != len(k_faces(structural, d - 1)):
+    if len(k_faces(report.image, d - 1)) != len(k_faces(structural, d - 1)):
         raise VerificationError("image not injective on (d-1)-faces")
-    return image_low

@@ -72,25 +72,40 @@ class ExperimentSpec:
             raise InvalidParams(f"unknown experiment mode {mode!r}")
         try:
             if "seeds" in obj:
-                seeds = [int(s) for s in obj["seeds"]]
+                seeds = _int_list(obj, "seeds")
             else:
-                base = int(obj.get("base_seed", 0))
-                seeds = [base + k for k in range(int(obj["runs"]))]
+                base = _int(obj.get("base_seed", 0), "base_seed")
+                seeds = [base + k for k in range(_int(obj["runs"], "runs"))]
             spec = cls(
                 mode=mode,
-                n_list=[int(x) for x in obj["n"]],
-                d_list=[int(x) for x in obj["d"]],
+                n_list=_int_list(obj, "n"),
+                d_list=_int_list(obj, "d"),
                 seeds=seeds,
-                record_every=int(obj.get("record_every", 0)),
-                track_random=int(obj.get("track_random", 10)),
+                record_every=_int(obj.get("record_every", 0), "record_every"),
+                track_random=_int(obj.get("track_random", 10), "track_random"),
             )
         except KeyError as err:
             raise InvalidParams(f"experiment spec is missing {err}") from None
-        except (TypeError, ValueError) as err:
-            raise InvalidParams(f"bad experiment spec: {err}") from None
         if not seeds:
             raise InvalidParams("empty seed list")
+        if len(set(seeds)) < len(seeds):
+            raise InvalidParams(f"experiment spec seeds: {seeds} repeats a seed")
         return spec
+
+
+def _int(x, key: str) -> int:
+    # a JSON integer: a bool is not one, nor is a float or a string
+    if type(x) is not int:
+        raise InvalidParams(f"experiment spec {key}: {x!r} is not an integer")
+    return x
+
+
+def _int_list(obj: dict, key: str) -> list[int]:
+    """obj[key] as a non-empty list of JSON integers."""
+    xs = obj[key]
+    if not isinstance(xs, list) or not xs:
+        raise InvalidParams(f"experiment spec {key}: {xs!r} is not a non-empty list")
+    return [_int(x, key) for x in xs]
 
 
 def _task(args) -> tuple[int, str]:

@@ -4,11 +4,11 @@ Maps the boundary of the (d+1)-dimensional straight corridor into the
 complete d-complex on [n], one vertex at a time, never repeating a
 (d-1)-face. It is the engine of corridor.py with a window of w = d+1
 vertices: each step cones over the codimension-2 skeleton of the previous
-d+1 chosen vertices, closing binom(d+1, 2) new (d-1)-faces. The engine's
-assemble and verify_run map that boundary through phi and prove the image
-a faithful copy of it, so the image is a pseudomanifold whose dual
-diameter is bounded below by the known diameter of the boundary corridor;
-this module adds those pseudomanifold checks.
+d+1 chosen vertices, closing binom(d+1, 2) new (d-1)-faces. pm_run is
+corridor.run, which maps that boundary through phi and proves the image a
+faithful copy of it, followed by the pseudomanifold analysis: the image
+must be a pseudomanifold, and its dual diameter, when computed, at least
+the known lower bound for the boundary corridor.
 """
 
 from __future__ import annotations
@@ -17,17 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .complexes import SimplicialComplex, is_pseudomanifold
-from .corridor import (
-    ProcessConfig,
-    ProcessSpec,
-    ProcessState,
-    RunReport,
-    assemble,
-    first_band_exit,
-    simulate,
-    verify_run,
-)
+from .complexes import is_pseudomanifold
+from .corridor import ProcessConfig, ProcessSpec, RunReport, run
 from .dual import build_dual, diameter
 from .errors import InvalidParams, OutOfRegime, VerificationError
 
@@ -81,42 +72,26 @@ class PmRunReport(RunReport):
 
 
 def pm_run(config: PmConfig) -> PmRunReport:
-    """Run to exhaustion, assemble the boundary-corridor image, verify."""
-    state, records = simulate(config)
-    image, structural = assemble(state)
+    """run(config), then the pseudomanifold checks on its verified image:
+    the image is a pseudomanifold and, when computed, its dual diameter is
+    at least pm_diameter_lower(M, d)."""
+    report = run(config)
     d = config.d
-    m = len(state.phi)
-    pm_flag = is_pseudomanifold(image, d)
+    if not is_pseudomanifold(report.image, d):
+        raise VerificationError("assembled image is not a pseudomanifold")
+    m = config.spec.width(d) + 1 + report.steps
+    lower = pm_diameter_lower(m, d)
     dual_diameter = None
     if config.compute_diameter:
-        dual_diameter = diameter(build_dual(image, d))
-    report = PmRunReport(
-        config=config,
-        steps=state.step,
+        dual_diameter = diameter(build_dual(report.image, d))
+        if dual_diameter < lower:
+            raise VerificationError(
+                f"dual diameter {dual_diameter} is below the lower bound {lower}"
+            )
+    return PmRunReport(
+        **vars(report),
         mapped_vertices=m,
-        first_low_step=state.first_low_step,
-        image=image,
-        pseudomanifold=pm_flag,
+        pseudomanifold=True,
         dual_diameter=dual_diameter,
-        diameter_lower=pm_diameter_lower(m, d),
-        records=records,
-        first_band_exit=first_band_exit(records, config.n),
+        diameter_lower=lower,
     )
-    _verify_pm_run(report, state, structural)
-    return report
-
-
-def _verify_pm_run(
-    report: PmRunReport, state: ProcessState, structural: SimplicialComplex
-):
-    f_low = verify_run(report, state, structural)
-    if not report.pseudomanifold:
-        raise VerificationError("assembled image is not a pseudomanifold")
-    d = report.config.d
-    if 2 * f_low != (d + 1) * len(report.image.facets):
-        raise VerificationError("degree-sum identity 2 f_{d-1} = (d+1) f_d broken")
-    if report.dual_diameter is not None and report.dual_diameter < report.diameter_lower:
-        raise VerificationError(
-            f"dual diameter {report.dual_diameter} is below the lower bound "
-            f"{report.diameter_lower}"
-        )

@@ -17,8 +17,8 @@ import math
 
 from .complexes import SimplicialComplex, complex_from_facets
 from .corridor import ProcessConfig, RunReport, TrajectoryRecord
-from .errors import InvalidParams
-from .pm import PmRunReport
+from .errors import DegenerateFace, InvalidParams
+from .pm import PmConfig, PmRunReport
 from .trajectory import predicted_y
 
 COMPLEX_SCHEMA = {
@@ -171,15 +171,13 @@ def load_complex(path: str) -> SimplicialComplex:
             check_report(obj)
             return _complex_from_checked(obj["image"])
         return complex_from_dict(obj)
-    except InvalidParams as err:
+    except (InvalidParams, DegenerateFace) as err:
         kind = "a run report" if is_report else "a complex object"
         raise InvalidParams(f"{path} is not {kind}: {err}") from None
 
 
-def _finite_or_none(x: float | None) -> float | None:
-    if x is None or not math.isfinite(x):
-        return None
-    return x
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
 
 
 def _record_to_dict(rec: TrajectoryRecord) -> dict:
@@ -190,9 +188,9 @@ def _record_to_dict(rec: TrajectoryRecord) -> dict:
             "size": e.size,
             "y": e.y,
             "w": list(e.w),
-            "pred": _finite_or_none(e.pred),
+            "pred": e.pred,
             "band": band,
-            "z": None if band is None or e.z is None else list(e.z),
+            "z": None if band is None else list(e.z),
         }
     return {
         "step": rec.step,
@@ -222,7 +220,8 @@ def _config_to_dict(cfg: ProcessConfig) -> dict:
 
 def report_to_dict(report: RunReport) -> dict:
     """The report as a JSON-ready dict, checked once against
-    REPORT_SCHEMA; keys are sorted when written."""
+    REPORT_SCHEMA; keys are sorted when written. The mode is the process
+    of the report's config; the pm fields come with pm_run's report."""
     obj = {
         "config": _config_to_dict(report.config),
         "steps": report.steps,
@@ -232,14 +231,15 @@ def report_to_dict(report: RunReport) -> dict:
         "image": _complex_obj(report.image),
         "trajectory": [_record_to_dict(r) for r in report.records],
     }
-    if isinstance(report, PmRunReport):
-        obj.update(
-            mode="pm",
-            mapped_vertices=report.mapped_vertices,
-            pseudomanifold=report.pseudomanifold,
-            diameter=report.dual_diameter,
-            diameter_lower=report.diameter_lower,
-        )
+    if isinstance(report.config, PmConfig):
+        obj["mode"] = "pm"
+        if isinstance(report, PmRunReport):  # pm_run's analysis
+            obj.update(
+                mapped_vertices=report.mapped_vertices,
+                pseudomanifold=report.pseudomanifold,
+                diameter=report.dual_diameter,
+                diameter_lower=report.diameter_lower,
+            )
     else:
         obj.update(
             mode="corridor",
@@ -273,18 +273,14 @@ def write_trajectory_csv(records: list[TrajectoryRecord], config: ProcessConfig,
         writer = csv.writer(fh)
         writer.writerow(csv_columns(period))
         for rec in records:
-            pred_term = predicted_y(n, rec.p, size_term) if rec.p >= 0 else ""
+            pred_term = predicted_y(n, rec.p, size_term)
             writer.writerow(
                 [rec.step, rec.t, rec.p, "terminal", size_term, rec.terminal_y, pred_term, ""]
                 + [""] * (2 * period)
             )
             for name, e in sorted(rec.entries.items()):
                 band = _finite_or_none(e.band)
-                z = (
-                    list(e.z)
-                    if (e.z is not None and band is not None)
-                    else [""] * period
-                )
+                z = list(e.z) if band is not None else [""] * period
                 writer.writerow(
                     [
                         rec.step,
@@ -293,7 +289,7 @@ def write_trajectory_csv(records: list[TrajectoryRecord], config: ProcessConfig,
                         name,
                         e.size,
                         e.y,
-                        _finite_or_none(e.pred),
+                        e.pred,
                         band if band is not None else "",
                     ]
                     + list(e.w)

@@ -216,8 +216,15 @@ class TestFrontDoor:
             ),
             ("", "cannot read"),  # no file at the path
             ('{"n": 3.0, "d": 2, "facets": [[1.0, 2, 3]]}', "n: 3.0 is not of type 'integer'"),
+            (
+                '{"n": 5, "d": 2, "facets": [[1, 1, 2], [2, 3, 4]]}',
+                "input.json is not a complex object: repeated vertex in [1, 1, 2]",
+            ),
         ],
-        ids=["not-json", "missing-d", "run-report", "missing-path", "integral-float"],
+        ids=[
+            "not-json", "missing-d", "run-report", "missing-path", "integral-float",
+            "repeated-vertex",
+        ],
     )
     def test_bad_complex_file(self, tmp_path, capsys, command, content, message):
         path = tmp_path / "input.json"
@@ -279,6 +286,30 @@ class TestFrontDoor:
         assert code == 1
         assert captured.err.startswith(f"error: cannot write {path}")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"n": "60"}, "n: '60' is not a non-empty list"),
+            ({"seeds": 1}, "seeds: 1 is not a non-empty list"),
+            ({"n": [30.9]}, "n: 30.9 is not an integer"),
+            ({"d": [True]}, "d: True is not an integer"),
+            ({"record_every": 2.0}, "record_every: 2.0 is not an integer"),
+            ({"n": []}, "n: [] is not a non-empty list"),
+            ({"d": []}, "d: [] is not a non-empty list"),
+            ({"seeds": [1, 1]}, "seeds: [1, 1] repeats a seed"),
+        ],
+        ids=[
+            "n-string", "seeds-scalar", "n-float", "d-bool", "record-every-float",
+            "n-empty", "d-empty", "seeds-repeated",
+        ],
+    )
+    def test_spec_bad_value(self, tmp_path, capsys, fields, message):
+        spec = {"mode": "corridor", "n": [30], "d": [2], "seeds": [1], **fields}
+        code, captured = self._experiment(tmp_path, capsys, json.dumps(spec))
+        assert code == 1
+        assert captured.err == f"error: experiment spec {message}\n"
+        assert not (tmp_path / "runs").exists()
 
     def test_spec_not_json(self, tmp_path, capsys):
         code, captured = self._experiment(tmp_path, capsys, "{mode: corridor")

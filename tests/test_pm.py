@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from corridor_forge import pm
+from corridor_forge import corridor, pm
 from corridor_forge.complexes import boundary_corridor, f_vector
 from corridor_forge.corridor import (
     CORRIDOR,
@@ -109,6 +109,14 @@ class TestFormulas:
         with pytest.raises(InvalidParams):
             CORRIDOR.max_steps(2, 2)
 
+    @pytest.mark.parametrize("spec", [CORRIDOR, PM])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_p_positive_within_the_volume_bound(self, spec, d):
+        # d! C(n, d) < n^d, so no recorded step reaches p <= 0
+        w = spec.width(d)
+        for n in range(w + 2, w + 200):
+            assert spec.p(n, d, spec.max_steps(n, d)) > 0
+
     def test_max_steps_counts_the_start_faces(self):
         # C(20,2) faces, C(4,2) closed by the start, 3 per step
         assert PM.max_steps(20, 2) == (190 - 6) / 3
@@ -183,6 +191,18 @@ class TestSandwich:
     def test_diameter_below_lower_bound_rejected(self, monkeypatch):
         monkeypatch.setattr(pm, "pm_diameter_lower", lambda N, d: 1e9)
         with pytest.raises(VerificationError, match="below the lower bound"):
+            pm_run(PmConfig(n=40, d=2, seed=1))
+
+    def test_engine_checks_run_before_the_diameter(self, monkeypatch):
+        def fail(state):
+            raise VerificationError("forced failure")
+
+        def never(graph):
+            raise AssertionError("diameter computed on an unverified image")
+
+        monkeypatch.setattr(corridor, "verify_process", fail)
+        monkeypatch.setattr(pm, "diameter", never)
+        with pytest.raises(VerificationError, match="forced failure"):
             pm_run(PmConfig(n=40, d=2, seed=1))
 
     def test_volume_bound_checked(self, monkeypatch):

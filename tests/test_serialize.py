@@ -66,6 +66,14 @@ class TestReportJson:
         assert obj["mode"] == "corridor"
         assert obj["steps"] == len(obj["image"]["facets"]) - 1
 
+    def test_bare_pm_run_is_labelled_pm(self):
+        obj = json.loads(report_json(run(PmConfig(n=40, d=2, seed=1))))
+        assert obj["mode"] == "pm"
+        assert set(obj) == {
+            "config", "steps", "first_low_step", "first_band_exit",
+            "termination", "image", "trajectory", "mode",
+        }
+
     def test_nonfinite_band_is_null(self):
         # the rigorous band overflows to inf late in the run
         cfg = ProcessConfig(n=30, d=2, seed=1, record_every=20)
