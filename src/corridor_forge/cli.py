@@ -41,7 +41,13 @@ def _cmd_generate(args) -> int:
         record_every=args.record_every,
         track_random=args.track_random,
     )
-    traj = (args.traj_out or _default_traj_path(args.out)) if args.record_every > 0 else None
+    traj = args.traj_out
+    if traj and args.record_every <= 0:
+        raise InvalidParams("--traj-out needs --record-every > 0")
+    if args.out and args.record_every > 0:
+        traj = traj or str(Path(args.out).with_suffix(".trajectory.csv"))
+        if Path(traj).resolve() == Path(args.out).resolve():
+            raise InvalidParams(f"--traj-out {traj} is also the --out report")
     for path in (args.out, traj):
         if path:
             _require_writable_parent(path)
@@ -57,13 +63,6 @@ def _require_writable_parent(path: str):
     parent = Path(path).parent
     if not (parent.is_dir() and os.access(parent, os.W_OK)):
         raise InvalidParams(f"cannot write {path}: {parent} is not a writable directory")
-
-
-def _default_traj_path(out: str | None) -> str | None:
-    if not out:
-        return None
-    p = Path(out)
-    return str(p.with_suffix(".trajectory.csv"))
 
 
 def _cmd_analyze(args) -> int:

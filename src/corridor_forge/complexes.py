@@ -111,12 +111,17 @@ def straight_corridor(d: int, N: int) -> SimplicialComplex:
     return SimplicialComplex(n=N, facets=frozenset(facets))
 
 
-def single_window_faces(D: int, N: int, k: int) -> SimplicialComplex:
-    """The k-faces of SC_D(N) lying in exactly one window (facet)."""
-    mult: Counter[Face] = Counter()
-    for facet in straight_corridor(D, N).facets:
-        mult.update(combinations(facet, k + 1))
-    return SimplicialComplex(n=N, facets=frozenset(f for f in mult if mult[f] == 1))
+def window_faces(seq, w: int, d: int):
+    """Yield, sorted, the d-faces of SC_w laid along seq (windows: runs of w+1
+    entries) in exactly one window: a subset of a window is also in the next
+    (previous) one unless it holds the window's first (last) entry."""
+    last = len(seq) - w - 1
+    for a in range(last + 1):
+        win = seq[a : a + w + 1]
+        lo = 1 if a < last else 0
+        hi = w if a > 0 else w + 1
+        for mid in combinations(win[lo:hi], d + 1 - lo - (w + 1 - hi)):
+            yield tuple(sorted((*win[:lo], *mid, *win[hi:])))
 
 
 def boundary_corridor(d: int, N: int) -> SimplicialComplex:
@@ -124,7 +129,7 @@ def boundary_corridor(d: int, N: int) -> SimplicialComplex:
     d-faces of SC_{d+1}(N) in exactly one (d+1)-facet; a d-sphere."""
     if N < d + 2:
         raise InvalidParams(f"need N >= d + 2, got N={N}, d={d}")
-    return single_window_faces(d + 1, N, d)
+    return SimplicialComplex(n=N, facets=frozenset(window_faces(range(1, N + 1), d + 1, d)))
 
 
 def corridor_face_count(D: int, N: int, k: int) -> int:

@@ -15,8 +15,8 @@ follows from it:
   vertices and w+1 windows of width w
 - first_low_step is the first step with at most 2w available vertices
 - n must be at least 4w+2 (w+2 with allow_small_n)
-- the image maps the structure, the d-faces of SC_w(M) in exactly one
-  window, through phi; verify_run proves it a faithful copy
+- the image is the d-faces of SC_w laid along phi in exactly one window;
+  verify_run proves it faithful by counting its faces in closed form
 
 run(config) is the one pipeline of both processes: simulate, assemble,
 build the report, verify. The corridor process has w = d and the
@@ -34,7 +34,7 @@ from itertools import combinations
 from typing import Callable, ClassVar
 
 from .closure import BitChoices, close_face, scan_available
-from .complexes import Face, SimplicialComplex, k_faces, single_window_faces
+from .complexes import Face, SimplicialComplex, k_faces, window_faces
 from .errors import InvalidParams, OutOfRegime, VerificationError
 from .trajectory import (
     TrackedComplex,
@@ -54,8 +54,7 @@ TRACKER_SEED_SALT = 0x7A11_0C0D
 class ProcessSpec:
     """What sets a mapping process apart: its window width w = d + extra,
     its error function e(d, p) and its cap on the size |A| of a tracked
-    complex. Everything else, the structure mapped into the image
-    included, follows from w."""
+    complex. Everything else, the image's face counts included, follows from w."""
 
     extra: int
     error_function: Callable[[int, float], float]
@@ -77,28 +76,25 @@ class ProcessSpec:
         steps: the start and every step close new (d-1)-faces of [n]."""
         if d < 1 or n <= d:
             raise InvalidParams(f"need n > d >= 1, got n={n}, d={d}")
-        return (math.comb(n, d) - math.comb(self.width(d) + 1, d)) / self.rate(d)
+        return (math.comb(n, d) - self.closed_faces(d, 0)) / self.rate(d)
 
-    def structure(self, d: int, M: int) -> SimplicialComplex:
-        """The d-faces of SC_w(M) lying in exactly one window: the windows
-        of SC_d(M) for w = d, the boundary of SC_{d+1}(M) for w = d+1."""
-        return single_window_faces(self.width(d), M, d)
+    def closed_faces(self, d: int, steps: int) -> int:
+        """(d-1)-faces closed after ``steps`` steps: C(w+1, d) at the start,
+        then C(w, d-1) per step. A faithful image has exactly these."""
+        return math.comb(self.width(d) + 1, d) + self.rate(d) * steps
+
+    def facet_count(self, d: int, steps: int) -> int:
+        """d-faces of a faithful image after ``steps`` steps (W = steps+1 windows).
+        For W >= 2 each end window keeps the C(w, d) faces holding its outer end
+        and each inner one the C(w-1, d-1) holding both ends: 2 C(w, d) + (W-2)
+        C(w-1, d-1) = C(w+1, d+1) + C(w-1, d-1) steps (also right at W = 1), as
+        2 C(w, d) - C(w-1, d-1) = C(w+1, d+1), which holds only for w <= d+1."""
+        w = self.width(d)
+        return math.comb(w + 1, d + 1) + math.comb(w - 1, d - 1) * steps
 
     def p(self, n: int, d: int, i: int) -> float:
         """Surviving-face density 1 - rate*d!*t at scaled time t = i / n^d."""
         return 1.0 - self.rate(d) * math.factorial(d) * i / n**d
-
-    def predicted_Y(self, n: int, d: int, i: int, size_a: int) -> float:
-        """Linial-Meshulam heuristic n * p^|A| for the tracked vertex count."""
-        return predicted_y(n, self.p(n, d, i), size_a)
-
-    def error_band(self, n: int, d: int, t: float) -> float:
-        """Concentration interval half-width n^{3/4} e(t) / 2.
-
-        Vacuously larger than n at desk scale; reported for completeness.
-        """
-        p = self.p(n, d, t * n**d)
-        return band_halfwidth(n, self.error_function(d, p))
 
 
 def error_function(d: int, p: float) -> float:
@@ -342,8 +338,7 @@ def verify_process(state: ProcessState):
     d, spec = cfg.d, cfg.spec
     if state.step > spec.max_steps(cfg.n, d):
         raise VerificationError("volume bound violated")
-    expected_closed = math.comb(spec.width(d) + 1, d) + spec.rate(d) * state.step
-    if sum(m.bit_count() for m in state.masks.values()) != d * expected_closed:
+    if sum(m.bit_count() for m in state.masks.values()) != d * spec.closed_faces(d, state.step):
         raise VerificationError("closure index out of step with the closed faces")
     if state.tracker is not None:
         for tc in state.tracker.tracked:
@@ -351,29 +346,26 @@ def verify_process(state: ProcessState):
                 raise VerificationError(f"Y/W identity broken for {tc.name}")
 
 
-def assemble(state: ProcessState) -> tuple[SimplicialComplex, SimplicialComplex]:
-    """Returns (image, structure): the structure on the mapped positions
-    and its image under position k -> phi_k."""
-    cfg, phi = state.config, state.phi
-    structural = cfg.spec.structure(cfg.d, len(phi))
-    facets = (tuple(sorted(phi[k - 1] for k in f)) for f in structural.facets)
-    return SimplicialComplex(n=cfg.n, facets=frozenset(facets)), structural
+def assemble(state: ProcessState) -> SimplicialComplex:
+    """The image: the structure mapped through position k -> phi_k."""
+    d = state.config.d
+    faces = frozenset(window_faces(state.phi, state.config.spec.width(d), d))
+    return SimplicialComplex(n=state.config.n, facets=faces)
 
 
 def run(config: ProcessConfig) -> RunReport:
     """The pipeline of both processes, the one of ``config.spec``: run it
     to exhaustion, assemble the image, build the report, verify it."""
     state, records = simulate(config)
-    image, structural = assemble(state)
     report = RunReport(
         config=config,
         steps=state.step,
         first_low_step=state.first_low_step,
-        image=image,
+        image=assemble(state),
         records=records,
         first_band_exit=first_band_exit(records, config.n),
     )
-    verify_run(report, state, structural)
+    verify_run(report, state)
     return report
 
 
@@ -393,14 +385,14 @@ def first_band_exit(records: list[TrajectoryRecord], n: int) -> int | None:
     return None
 
 
-def verify_run(report: RunReport, state: ProcessState, structural: SimplicialComplex):
+def verify_run(report: RunReport, state: ProcessState):
     """Recheck a run of either process: verify_process, then that phi is
-    injective on the structure's d- and (d-1)-faces (two d-faces share at
-    most one (d-1)-face, so the image's dual graph is then a copy of the
-    structure's)."""
-    d = report.config.d
+    injective on the structure's d- and (d-1)-faces, counting the image's
+    against facet_count and closed_faces (two d-faces share at most one
+    (d-1)-face, so the image's dual graph is then the structure's)."""
+    d, spec = report.config.d, report.config.spec
     verify_process(state)
-    if len(report.image.facets) != len(structural.facets):
+    if len(report.image.facets) != spec.facet_count(d, state.step):
         raise VerificationError("image not injective on d-faces")
-    if len(k_faces(report.image, d - 1)) != len(k_faces(structural, d - 1)):
+    if len(k_faces(report.image, d - 1)) != spec.closed_faces(d, state.step):
         raise VerificationError("image not injective on (d-1)-faces")

@@ -270,6 +270,30 @@ class TestFrontDoor:
         assert captured.err.startswith("error:") and str(tmp_path) in captured.err
         assert captured.err.count("\n") == 1
 
+    def test_traj_out_same_as_out_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "run.json"
+        code, captured = _run(
+            capsys,
+            [
+                "generate-corridor", "--n", "20", "--d", "2", "--seed", "1",
+                "--record-every", "5", "--out", "run.json", "--traj-out", str(out),
+            ],
+        )
+        assert code == 1
+        assert captured.err.startswith("error: --traj-out") and captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_traj_out_without_record_every_rejected(self, tmp_path, capsys):
+        traj = tmp_path / "t.csv"
+        code, captured = _run(
+            capsys,
+            ["generate-corridor", "--n", "20", "--d", "2", "--seed", "1", "--traj-out", str(traj)],
+        )
+        assert code == 1
+        assert captured.err.startswith("error: --traj-out needs --record-every")
+        assert captured.out == "" and not traj.exists()
+
     @pytest.mark.parametrize("command", ["generate-corridor", "generate-pm"])
     @pytest.mark.parametrize("flag", ["--out", "--traj-out"])
     def test_unwritable_output_fails_before_the_run(self, tmp_path, capsys, monkeypatch, command, flag):

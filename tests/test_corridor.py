@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corridor_forge import corridor
-from corridor_forge.complexes import straight_corridor
+from corridor_forge.complexes import (
+    SimplicialComplex,
+    is_pseudomanifold,
+    k_faces,
+    straight_corridor,
+    window_faces,
+)
 from corridor_forge.corridor import (
     CORRIDOR,
     ProcessConfig,
@@ -21,6 +27,7 @@ from corridor_forge.corridor import (
     i_end,
     init,
     run,
+    simulate,
     step,
     verify_run,
 )
@@ -31,10 +38,10 @@ from corridor_forge.errors import (
     OutOfRegime,
     VerificationError,
 )
-from corridor_forge.pm import PmConfig, pm_run
+from corridor_forge.pm import PM, PmConfig, pm_run
 from corridor_forge.serialize import report_json
-from corridor_forge.trajectory import TrajectoryTracker
-from util import closed_faces, oracle_snapshot
+from corridor_forge.trajectory import TrajectoryTracker, band_halfwidth, predicted_y
+from util import closed_faces, oracle_snapshot, oracle_window_faces
 
 
 class TestInit:
@@ -129,33 +136,34 @@ class TestStep:
 class TestFormulas:
     def test_p_and_prediction_at_start(self):
         assert CORRIDOR.p(100, 2, 0) == 1.0
-        assert CORRIDOR.predicted_Y(100, 2, 0, 3) == 100.0
+        assert predicted_y(100, CORRIDOR.p(100, 2, 0), 3) == 100.0
 
     def test_prediction_midway(self):
         # p = 1 - 2*2*1250/10000 = 0.5, n p^2 = 25
-        assert CORRIDOR.predicted_Y(100, 2, 1250, 2) == pytest.approx(25.0)
+        assert predicted_y(100, CORRIDOR.p(100, 2, 1250), 2) == pytest.approx(25.0)
 
     def test_prediction_at_p_zero(self):
-        assert CORRIDOR.predicted_Y(100, 2, 2500, 2) == pytest.approx(0.0)
+        assert predicted_y(100, CORRIDOR.p(100, 2, 2500), 2) == pytest.approx(0.0)
 
     def test_prediction_out_of_regime(self):
         with pytest.raises(OutOfRegime):
-            CORRIDOR.predicted_Y(100, 2, 3000, 2)
+            predicted_y(100, CORRIDOR.p(100, 2, 3000), 2)
 
     def test_error_function_at_one(self):
         assert error_function(2, 1.0) == pytest.approx(math.exp(31))
 
     def test_error_band_value_and_growth(self):
-        assert CORRIDOR.error_band(200, 2, 0.0) == pytest.approx(
-            200**0.75 * math.exp(31) / 2
-        )
-        assert CORRIDOR.error_band(200, 2, 0.1) > CORRIDOR.error_band(200, 2, 0.0)
+        def band(t):
+            return band_halfwidth(200, CORRIDOR.error_function(2, CORRIDOR.p(200, 2, t * 200**2)))
+
+        assert band(0.0) == pytest.approx(200**0.75 * math.exp(31) / 2)
+        assert band(0.1) > band(0.0)
         # the rigorous band is vacuous at desk scale
-        assert CORRIDOR.error_band(200, 2, 0.0) > 200
+        assert band(0.0) > 200
 
     def test_error_band_out_of_regime(self):
         with pytest.raises(OutOfRegime):
-            CORRIDOR.error_band(200, 2, 0.25)
+            band_halfwidth(200, CORRIDOR.error_function(2, CORRIDOR.p(200, 2, 0.25 * 200**2)))
 
     def test_i_end_asymptotic_only(self):
         assert i_end(1000, 2, 0.2) is None
@@ -303,29 +311,29 @@ class TestRun:
 
 
 class TestVerifier:
-    """verify_run on hand-built corridor states, with verify_process
-    patched out so only the injectivity counts can reject them."""
+    """verify_run on hand-built d = 2 corridor and pm states, with
+    verify_process patched out so only the injectivity counts can reject
+    them."""
 
-    def _verify(self, monkeypatch, phi):
+    def _verify(self, monkeypatch, phi, config_cls=ProcessConfig):
         monkeypatch.setattr(corridor, "verify_process", lambda state: None)
-        cfg = ProcessConfig(n=max(phi), d=2, seed=0, allow_small_n=True)
-        state = ProcessState(
-            config=cfg, phi=phi, masks={}, step=len(phi) - 3, rng=random.Random(0)
-        )
-        image, structural = assemble(state)
+        cfg = config_cls(n=max(phi), d=2, seed=0, allow_small_n=True)
+        steps = len(phi) - cfg.spec.width(2) - 1
+        state = ProcessState(config=cfg, phi=phi, masks={}, step=steps, rng=random.Random(0))
+        image = assemble(state)
         report = RunReport(
             config=cfg,
-            steps=state.step,
+            steps=steps,
             first_low_step=None,
             image=image,
             records=[],
             first_band_exit=None,
         )
-        return image, lambda: verify_run(report, state, structural)
+        return image, lambda: verify_run(report, state)
 
     def test_structure_is_the_straight_corridor(self):
-        assert CORRIDOR.structure(2, 9) == straight_corridor(2, 9)
-        assert CORRIDOR.structure(3, 9) == straight_corridor(3, 9)
+        for d in (2, 3):
+            assert set(window_faces(range(1, 10), d, d)) == straight_corridor(d, 9).facets
 
     def test_injective_path_passes(self, monkeypatch):
         image, verify = self._verify(monkeypatch, [1, 2, 3, 4, 5, 6, 7])
@@ -345,3 +353,51 @@ class TestVerifier:
         _, verify = self._verify(monkeypatch, [1, 2, 3, 4, 1, 2, 3])
         with pytest.raises(VerificationError, match="not injective on d-faces"):
             verify()
+
+    def test_pm_injective_boundary_passes(self, monkeypatch):
+        image, verify = self._verify(monkeypatch, [1, 2, 3, 4, 5, 6, 7, 8], PmConfig)
+        verify()
+        assert is_pseudomanifold(image, 2)
+
+    def test_pm_repeated_facet_rejected(self, monkeypatch):
+        # windows 1234 and 2341: the first keeps 123, 124, 134 (holding its
+        # first entry 1), the last 123, 124, 134 (holding its last entry 1)
+        _, verify = self._verify(monkeypatch, [1, 2, 3, 4, 1], PmConfig)
+        with pytest.raises(VerificationError, match="not injective on d-faces"):
+            verify()
+
+    def test_pm_repeated_ridge_rejected(self, monkeypatch):
+        # ten distinct facets, but the edges at positions (1, 4) and (4, 7)
+        # both map to 14, so the image has 14 ridges against 15
+        image, verify = self._verify(monkeypatch, [1, 2, 3, 4, 5, 6, 1], PmConfig)
+        with pytest.raises(VerificationError, match=r"not injective on \(d-1\)-faces"):
+            verify()
+        assert not is_pseudomanifold(image, 2)
+
+
+class TestWindowFaces:
+    """window_faces and the closed-form face counts against the oracle that
+    counts every subset of every window."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("spec", [CORRIDOR, PM], ids=["corridor", "pm"])
+    def test_matches_oracle(self, spec, d):
+        w = spec.width(d)
+        for M in range(w + 1, 61):
+            faces = list(window_faces(range(1, M + 1), w, d))
+            oracle = oracle_window_faces(M, w, d)
+            assert len(faces) == len(set(faces)) and set(faces) == oracle
+            steps = M - w - 1
+            assert spec.facet_count(d, steps) == len(oracle)
+            structure = SimplicialComplex(n=M, facets=frozenset(oracle))
+            assert spec.closed_faces(d, steps) == len(k_faces(structure, d - 1))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("config_cls", [ProcessConfig, PmConfig])
+    @pytest.mark.parametrize("n, d", [(30, 2), (20, 3)])
+    def test_image_is_the_mapped_structure(self, n, d, config_cls, seed):
+        state, _ = simulate(config_cls(n=n, d=d, seed=seed))
+        phi = state.phi
+        structure = oracle_window_faces(len(phi), config_cls.spec.width(d), d)
+        mapped = {tuple(sorted(phi[k - 1] for k in f)) for f in structure}
+        assert assemble(state).facets == mapped

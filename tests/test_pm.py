@@ -23,7 +23,8 @@ from corridor_forge.pm import (
     pm_error_function,
     pm_run,
 )
-from util import closed_faces
+from corridor_forge.trajectory import band_halfwidth, predicted_y
+from util import closed_faces, oracle_window_faces
 
 
 class TestInit:
@@ -74,23 +75,24 @@ class TestFormulas:
 
     def test_p_and_prediction(self):
         assert PM.p(100, 2, 0) == 1.0
-        assert PM.predicted_Y(100, 2, 0, 3) == 100.0
+        assert predicted_y(100, PM.p(100, 2, 0), 3) == 100.0
         # p = 1 - 6 * 1250 / 10000 = 0.25
-        assert PM.predicted_Y(100, 2, 1250, 1) == pytest.approx(25.0)
+        assert predicted_y(100, PM.p(100, 2, 1250), 1) == pytest.approx(25.0)
 
     def test_prediction_out_of_regime(self):
         with pytest.raises(OutOfRegime):
-            PM.predicted_Y(100, 2, 2000, 2)
+            predicted_y(100, PM.p(100, 2, 2000), 2)
 
     def test_error_function_at_one(self):
         assert pm_error_function(2, 1.0) == pytest.approx(math.exp(32))
 
     def test_error_band_monotone_and_vacuous(self):
-        assert PM.error_band(60, 2, 0.0) == pytest.approx(
-            60**0.75 * math.exp(32) / 2
-        )
-        assert PM.error_band(60, 2, 0.05) > PM.error_band(60, 2, 0.0)
-        assert PM.error_band(60, 2, 0.0) > 60
+        def band(t):
+            return band_halfwidth(60, PM.error_function(2, PM.p(60, 2, t * 60**2)))
+
+        assert band(0.0) == pytest.approx(60**0.75 * math.exp(32) / 2)
+        assert band(0.05) > band(0.0)
+        assert band(0.0) > 60
 
     def test_diameter_lower(self):
         assert pm_diameter_lower(6, 2) == pytest.approx(1.0)
@@ -183,7 +185,7 @@ class TestMetamorphic:
     def test_dual_diameter_matches_the_structure(self, n, d, seed):
         report = pm_run(PmConfig(n=n, d=d, seed=seed, allow_small_n=True))
         structural = boundary_corridor(d, report.mapped_vertices)
-        assert PM.structure(d, report.mapped_vertices) == structural
+        assert structural.facets == oracle_window_faces(report.mapped_vertices, d + 1, d)
         assert report.dual_diameter == diameter(build_dual(structural, d))
 
 

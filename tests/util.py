@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import reduce
 from itertools import combinations
 from operator import xor
 
-from corridor_forge.complexes import SimplicialComplex, complex_from_facets, make_face
+from corridor_forge.complexes import (
+    SimplicialComplex,
+    complex_from_facets,
+    make_face,
+    straight_corridor,
+)
 from corridor_forge.gf2 import Gf2Matrix, boundary_matrix
 
 
@@ -43,6 +49,16 @@ def oracle_maximal_facets(faces) -> frozenset[tuple[int, ...]]:
     return frozenset(
         f for f in canon if not any(f != g and set(f) <= set(g) for g in canon)
     )
+
+
+def oracle_window_faces(M: int, w: int, d: int) -> set[tuple[int, ...]]:
+    """The d-faces of SC_w(M) lying in exactly one window, found by
+    counting every (d+1)-subset of every window: the oracle for
+    complexes.window_faces."""
+    mult: Counter[tuple[int, ...]] = Counter()
+    for facet in straight_corridor(w, M).facets:
+        mult.update(combinations(facet, d + 1))
+    return {f for f, c in mult.items() if c == 1}
 
 
 def random_small_complex(rng: random.Random, d: int, max_vertices: int = 12) -> SimplicialComplex:
