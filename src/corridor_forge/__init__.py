@@ -25,6 +25,7 @@ from .dual import (
     vertex_connectivity,
 )
 from .gf2 import (
+    betti_numbers,
     boundary_matrix,
     boundary_of_indicator,
     check_small_facet_lemma,

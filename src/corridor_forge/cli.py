@@ -17,7 +17,7 @@ from pathlib import Path
 from . import experiments, serialize
 from .corridor import ProcessConfig, run
 from .errors import CorridorForgeError, InvalidParams
-from .gf2 import reduced_betti
+from .gf2 import betti_numbers
 from .pm import PmConfig, pm_run
 
 
@@ -73,8 +73,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_homology(args) -> int:
     X = serialize.load_complex(args.input)
-    betti = [reduced_betti(X, k) for k in range(X.dim + 1)]
-    _write_json({"betti": betti}, args.out)
+    _write_json({"betti": betti_numbers(X)}, args.out)
     return 0
 
 

@@ -8,12 +8,9 @@ d-faces.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Container
 from dataclasses import dataclass
-from itertools import combinations
-
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
+from itertools import chain, combinations
 
 from .complexes import Face, SimplicialComplex, k_faces
 from .errors import EmptyDual, InvalidParams, NotStronglyConnected, RefusedSize
@@ -145,59 +142,112 @@ def caccetta_smyth_bound(num_nodes: int, K: int) -> int:
     return (num_nodes - 2) // K + 1
 
 
-def _split_flow_network(g: DualGraph) -> csr_matrix:
-    """Node-splitting network: node i becomes arc 2i -> 2i+1 of capacity 1;
-    each undirected edge {u, v} becomes arcs u_out -> v_in and v_out -> u_in."""
-    rows, cols, caps = [], [], []
-    for i in range(g.num_nodes):
-        rows.append(2 * i)
-        cols.append(2 * i + 1)
-        caps.append(1)
-        for j in g.adj[i]:
-            rows.append(2 * i + 1)
-            cols.append(2 * j)
-            caps.append(1)
-    m = 2 * g.num_nodes
-    return csr_matrix(
-        (np.asarray(caps, dtype=np.int32), (rows, cols)), shape=(m, m)
-    )
+def maximum_flow(
+    adj: list[list[int]], source: int, sinks: Container[int], limit: int
+) -> int:
+    """Number of paths from source to distinct members of sinks, disjoint
+    but for source, counted up to limit.
+
+    Unit-capacity augmenting paths in the split-node residual graph: state
+    2v is v's entry and 2v + 1 its exit, and pred[v] is the node whose path
+    enters v. Each BFS starts at the source's exit and stops at the first
+    free sink it reaches, so on a graph where sinks lie close by it stays
+    local. A sink ends its path: the search never leaves through one.
+    """
+    pred: dict[int, int] = {}
+    start = 2 * source + 1
+    for flow in range(limit):
+        parent = {start: start}
+        queue = deque([start])
+        end = None
+        while queue and end is None:
+            state = queue.popleft()
+            v = state >> 1
+            if state & 1:
+                # v's exit: along any edge, or back to v's entry if a path uses v
+                nexts = [2 * w for w in adj[v] if w != source]
+                if v in pred:
+                    nexts.append(2 * v)
+            elif v in pred:
+                nexts = [2 * pred[v] + 1]  # v is taken: back along the path into v
+            else:
+                nexts = [state + 1]
+            for nxt in nexts:
+                if nxt not in parent:
+                    parent[nxt] = state
+                    if not nxt & 1 and nxt >> 1 in sinks and nxt >> 1 not in pred:
+                        end = nxt
+                        break
+                    queue.append(nxt)
+        if end is None:
+            return flow
+        state = end
+        while state != start:
+            prev = parent[state]
+            u, v = prev >> 1, state >> 1
+            if u != v:
+                if prev & 1:
+                    pred[v] = u  # the path now enters v from u
+                else:
+                    del pred[u]  # cancelled: the path into u came back out
+            state = prev
+    return limit
 
 
 def vertex_connectivity(g: DualGraph) -> int:
-    """Vertex connectivity via unit-node-capacity max-flow (Menger).
+    """Exact vertex connectivity κ by Even's test with a descending k.
 
-    Minimum over non-adjacent pairs of max-flow in the split network;
-    a fixed minimum-degree endpoint s limits the pairs examined to
-    (s, non-neighbor) plus non-adjacent pairs inside N(s). Complete
-    graphs return num_nodes - 1, a disconnected graph returns 0, and a
-    connected graph with a node of degree 1 returns 1 without a flow.
+    Even's theorem (S. Even, "An algorithm for determining whether the
+    connectivity of a graph is at least k", SIAM J. Comput. 1975), with the
+    pair reduction of Esfahanian and Hakimi (Networks 1984): for nodes
+    v_0, ..., v_{n-1} in any order and k < n, the graph is k-connected iff
+    every non-adjacent pair among v_0..v_{k-1} is joined by k internally
+    disjoint paths, and every later v_t has a fan of k paths, disjoint but
+    for v_t, to distinct nodes of {v_0, ..., v_{t-1}}. (If a set S of fewer
+    than k nodes separates, let v_i be the first node outside S and v_j the
+    first outside S and v_i's component: for j < k the pair (v_i, v_j) has
+    at most |S| paths, and for j >= k the fan of v_j has at most |S|.)
+
+    The nodes are taken in BFS level order, so every fan has sinks close
+    by and each count (`maximum_flow`) stays local. A pair (u, v) counts
+    paths from u to v's neighbors, which extend to internally disjoint
+    u-v paths; a fan counts paths from v_t to the nodes before it.
+
+    The test starts at k = δ, since κ <= δ. A count f below k is exact
+    and bounds κ: a pair count is the pair's local connectivity, and a
+    fan's minimum cut S (|S| = f) separates v_t from the earlier nodes
+    outside S, of which there are at least t - f >= k - f > 0. So k = f
+    and the test runs again; the first k that passes is κ. When κ = δ
+    this is one pass: n - k fans and at most C(k, 2) pair counts.
+
+    Complete graphs return num_nodes - 1, a disconnected graph returns 0,
+    and a connected graph with a node of degree 1 returns 1 without a
+    count.
     """
     nv = g.num_nodes
     if nv < 2:
         raise InvalidParams("connectivity needs at least 2 nodes")
-    if not is_connected(g):
+    dist = _bfs_distances(g, 0)
+    if min(dist) < 0:
         return 0
     if all(len(a) == nv - 1 for a in g.adj):
         return nv - 1
-    s = min(range(nv), key=lambda i: len(g.adj[i]))
-    if len(g.adj[s]) == 1:
+    k = min(len(a) for a in g.adj)
+    if k == 1:
         # kappa <= min degree, and a connected graph has kappa >= 1;
-        # every corridor dual (an induced path) ends here without a flow
+        # every corridor dual (an induced path) ends here without a count
         return 1
-    net = _split_flow_network(g)
-    neighbors = set(g.adj[s])
-    best = nv - 1
-    for t in range(nv):
-        if t != s and t not in neighbors:
-            flow = maximum_flow(net, 2 * s + 1, 2 * t).flow_value
-            best = min(best, flow)
-    # A minimum separator containing s is caught by a pair of its
-    # non-adjacent neighbors.
-    for u, w in combinations(sorted(neighbors), 2):
-        if w not in g.adj[u]:
-            flow = maximum_flow(net, 2 * u + 1, 2 * w).flow_value
-            best = min(best, flow)
-    return int(best)
+    order = sorted(range(nv), key=dist.__getitem__)
+    rank = {v: i for i, v in enumerate(order)}
+    adj = [[rank[w] for w in g.adj[v]] for v in order]
+    while True:
+        pairs = ((u, set(adj[v])) for v in range(k) for u in range(v) if u not in adj[v])
+        fans = ((t, range(t)) for t in range(k, nv))
+        counts = (maximum_flow(adj, s, sinks, k) for s, sinks in chain(pairs, fans))
+        short = next((f for f in counts if f < k), None)
+        if short is None:
+            return k
+        k = short
 
 
 def longest_induced_path_bruteforce(g: DualGraph, node_limit: int = 16) -> int:

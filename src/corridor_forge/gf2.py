@@ -41,22 +41,25 @@ def rank_gf2(m: Gf2Matrix) -> int:
     return len(pivots)
 
 
-def boundary_matrix(X: SimplicialComplex, k: int) -> Gf2Matrix:
-    """The k-th boundary matrix: column per k-face, row per (k-1)-face.
-
-    At k = 0 this is the augmentation map to the empty face (a single
-    all-ones row over the vertices).
-    """
-    faces_k = sorted(k_faces(X, k))
-    if k == 0:
-        return Gf2Matrix(rows=1, cols=len(faces_k), bits=[(1 << len(faces_k)) - 1])
-    faces_low = sorted(k_faces(X, k - 1))
+def _boundary(faces_k: list[Face], faces_low: list[Face], k: int) -> Gf2Matrix:
+    """Boundary matrix from sorted face lists: column per k-face, row per
+    (k-1)-face; faces_low = [()] gives the augmentation row at k = 0."""
     row_of = {f: i for i, f in enumerate(faces_low)}
     bits = [0] * len(faces_low)
     for j, f in enumerate(faces_k):
         for sub in combinations(f, k):
             bits[row_of[sub]] |= 1 << j
     return Gf2Matrix(rows=len(faces_low), cols=len(faces_k), bits=bits)
+
+
+def boundary_matrix(X: SimplicialComplex, k: int) -> Gf2Matrix:
+    """The k-th boundary matrix: column per k-face, row per (k-1)-face.
+
+    At k = 0 this is the augmentation map to the empty face (a single
+    all-ones row over the vertices).
+    """
+    faces_low = sorted(k_faces(X, k - 1)) if k else [()]
+    return _boundary(sorted(k_faces(X, k)), faces_low, k)
 
 
 def reduced_betti(X: SimplicialComplex, k: int) -> int:
@@ -67,6 +70,16 @@ def reduced_betti(X: SimplicialComplex, k: int) -> int:
     rank_k = rank_gf2(boundary_matrix(X, k))
     rank_up = rank_gf2(boundary_matrix(X, k + 1))
     return num_k - rank_k - rank_up
+
+
+def betti_numbers(X: SimplicialComplex) -> list[int]:
+    """Every reduced Betti number, k = 0..dim, listing each face set and
+    building and ranking each boundary matrix once (reduced_betti per k
+    builds each twice)."""
+    faces = [[()]] + [sorted(k_faces(X, k)) for k in range(X.dim + 1)]
+    ranks = [rank_gf2(_boundary(faces[k + 1], faces[k], k)) for k in range(X.dim + 1)]
+    ranks.append(0)  # no (dim+1)-faces
+    return [len(faces[k + 1]) - ranks[k] - ranks[k + 1] for k in range(X.dim + 1)]
 
 
 @dataclass(frozen=True)

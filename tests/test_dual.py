@@ -1,10 +1,14 @@
 from itertools import combinations
+from math import comb
 
 import networkx as nx
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.sparse.csgraph import maximum_flow
+from networkx.algorithms.connectivity import local_node_connectivity
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow as scipy_maximum_flow
 
 from corridor_forge import dual
 from corridor_forge.complexes import (
@@ -15,7 +19,6 @@ from corridor_forge.complexes import (
 from corridor_forge.dual import (
     DualGraph,
     _bfs_distances,
-    _split_flow_network,
     build_dual,
     caccetta_smyth_bound,
     diameter,
@@ -31,7 +34,7 @@ from corridor_forge.errors import (
     NotStronglyConnected,
     RefusedSize,
 )
-from corridor_forge.pm import pm_diameter_lower
+from corridor_forge.pm import PmConfig, pm_diameter_lower, pm_run
 from util import boundary_complex_of_simplex
 
 
@@ -63,6 +66,37 @@ def oracle_diameter(g):
     return best
 
 
+def _split_flow_network(g):
+    """Node-splitting network: node i becomes arc 2i -> 2i+1 of capacity 1;
+    each undirected edge {u, v} becomes arcs u_out -> v_in and v_out -> u_in."""
+    rows, cols, caps = [], [], []
+    for i in range(g.num_nodes):
+        rows.append(2 * i)
+        cols.append(2 * i + 1)
+        caps.append(1)
+        for j in g.adj[i]:
+            rows.append(2 * i + 1)
+            cols.append(2 * j)
+            caps.append(1)
+    m = 2 * g.num_nodes
+    return csr_matrix(
+        (np.asarray(caps, dtype=np.int32), (rows, cols)), shape=(m, m)
+    )
+
+
+def per_pair_connectivity(g):
+    """The former vertex_connectivity: one max-flow from a minimum-degree
+    node s to each non-neighbor, and one between each non-adjacent pair of
+    s's neighbors (a minimum separator containing s separates two of
+    them). Connected, non-complete graphs of minimum degree >= 2 only."""
+    net = _split_flow_network(g)
+    s = min(range(g.num_nodes), key=lambda i: len(g.adj[i]))
+    neighbors = set(g.adj[s])
+    pairs = [(s, t) for t in range(g.num_nodes) if t != s and t not in neighbors]
+    pairs += [(u, w) for u, w in combinations(sorted(neighbors), 2) if w not in g.adj[u]]
+    return min(scipy_maximum_flow(net, 2 * u + 1, 2 * w).flow_value for u, w in pairs)
+
+
 def oracle_connectivity(g):
     """Menger by brute force: the minimum max-flow over every non-adjacent
     pair of the unit-node-capacity split network; num_nodes - 1 when
@@ -73,7 +107,7 @@ def oracle_connectivity(g):
     for s in range(nv):
         for t in range(s + 1, nv):
             if t not in g.adj[s]:
-                best = min(best, maximum_flow(net, 2 * s + 1, 2 * t).flow_value)
+                best = min(best, scipy_maximum_flow(net, 2 * s + 1, 2 * t).flow_value)
     return best
 
 
@@ -112,12 +146,39 @@ def random_complex_duals(draw):
     return build_dual(complex_from_facets([sorted(f) for f in facets]), d)
 
 
+@st.composite
+def planted_separators(draw):
+    """Cliques A and B (at least 2 nodes each) joined through a set S of
+    1 to 3 nodes, each adjacent to all of A and B, with random edges inside
+    S: kappa = |S| < delta, so the test must descend from k = delta."""
+    sep = draw(st.integers(1, 3))
+    a, b = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    side_a, side_b = range(a), range(a, a + b)
+    middle = range(a + b, a + b + sep)
+    edges = list(combinations(side_a, 2)) + list(combinations(side_b, 2))
+    edges += [(x, y) for x in middle for y in (*side_a, *side_b)]
+    node = st.sampled_from(middle)
+    edges += draw(st.lists(st.tuples(node, node), max_size=3))
+    k = a + b + sep
+    label = draw(st.permutations(range(k)))
+    return sep, graph_from_edges(k, [(label[u], label[v]) for u, v in edges])
+
+
+@st.composite
+def random_regular(draw, max_nodes):
+    r = draw(st.sampled_from([3, 4]))
+    k = draw(st.integers(r + 2, max_nodes).filter(lambda k: r * k % 2 == 0))
+    h = nx.random_regular_graph(r, k, seed=draw(st.integers(0, 2**16)))
+    return graph_from_edges(k, h.edges())
+
+
 def graphs(max_nodes):
     return st.one_of(
         st.integers(1, max_nodes).map(path_graph),
         st.integers(3, max_nodes).map(cycle_graph),
         trees_with_extra_edges(max_nodes),
         random_complex_duals(),
+        random_regular(max_nodes),
     )
 
 
@@ -260,6 +321,49 @@ class TestIsInducedPath:
         assert is_induced_path(path_graph(2))
 
 
+def fan_oracle(g, source, sinks):
+    """Paths from source to distinct sinks, disjoint but for source: the
+    local node connectivity from source to a new node joined to every
+    sink."""
+    h = to_networkx(g)
+    h.add_edges_from((-1, t) for t in sinks)
+    return local_node_connectivity(h, source, -1)
+
+
+@st.composite
+def fan_instances(draw):
+    g = draw(st.one_of(random_regular(30), trees_with_extra_edges(30)).filter(
+        lambda g: g.num_nodes >= 2))
+    source = draw(st.integers(0, g.num_nodes - 1))
+    others = [v for v in range(g.num_nodes) if v != source]
+    return g, source, draw(st.sets(st.sampled_from(others), min_size=1))
+
+
+# a fan of 3 the count finds only by re-routing back along an existing
+# path through a node, which then leaves it
+REROUTED_FAN = (
+    graph_from_edges(14, [
+        (0, 6), (0, 8), (0, 13), (1, 10), (1, 11), (1, 12), (2, 3), (2, 9),
+        (2, 12), (3, 4), (3, 11), (4, 6), (4, 7), (5, 6), (5, 7), (5, 8),
+        (7, 10), (8, 10), (9, 12), (9, 13), (11, 13),
+    ]),
+    10,
+    {2, 3, 13},
+)
+
+
+class TestMaximumFlow:
+    @settings(max_examples=300, deadline=None)
+    @given(fan_instances())
+    @example(REROUTED_FAN)
+    def test_matches_local_connectivity(self, instance):
+        g, source, sinks = instance
+        want = fan_oracle(g, source, sinks)
+        assert dual.maximum_flow(g.adj, source, sinks, g.num_nodes) == want
+        for limit in range(want + 1):
+            assert dual.maximum_flow(g.adj, source, sinks, limit) == limit
+
+
 class TestVertexConnectivity:
     def test_complete_graph(self):
         g = build_dual(boundary_complex_of_simplex([1, 2, 3, 4]), 2)
@@ -297,6 +401,41 @@ class TestVertexConnectivity:
         got = vertex_connectivity(g)
         assert got == nx.node_connectivity(to_networkx(g))
         assert got == oracle_connectivity(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted_separators())
+    def test_descends_to_a_planted_separator(self, planted):
+        sep, g = planted
+        got = vertex_connectivity(g)
+        assert got == sep < min(g.degrees())
+        assert got == nx.node_connectivity(to_networkx(g))
+        assert got == oracle_connectivity(g)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_boundary_corridor_is_d_plus_1_connected(self, d):
+        for N in range(d + 2, 41):
+            g = build_dual(boundary_corridor(d, N), d)
+            assert vertex_connectivity(g) == d + 1
+            if N <= 12:
+                assert nx.node_connectivity(to_networkx(g)) == d + 1
+            if N in (20, 40):
+                assert per_pair_connectivity(g) == d + 1
+
+    def test_pm_dual_takes_one_pass(self, monkeypatch):
+        # one pass of Even's test at k = delta = kappa: a fan per node after
+        # the first k, and at most C(k, 2) pair counts
+        g = build_dual(pm_run(PmConfig(n=60, d=2, seed=1, compute_diameter=False)).image, 2)
+        real = dual.maximum_flow
+        calls = []
+
+        def counting_flow(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(dual, "maximum_flow", counting_flow)
+        kappa = vertex_connectivity(g)
+        assert kappa == 3 == per_pair_connectivity(g)
+        assert len(calls) <= g.num_nodes + comb(kappa, 2)
 
     def test_diameter_within_caccetta_smyth(self):
         for d, n in [(2, 6), (2, 10), (3, 8)]:

@@ -13,6 +13,7 @@ from corridor_forge.complexes import (
 from corridor_forge.errors import InvalidFace
 from corridor_forge.gf2 import (
     Gf2Matrix,
+    betti_numbers,
     boundary_matrix,
     boundary_of_indicator,
     check_small_facet_lemma,
@@ -159,6 +160,23 @@ class TestReducedBetti:
                 (-1) ** k * reduced_betti(X, k) for k in range(len(fv))
             )
             assert betti_sum == chi - 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.integers(6, 12), st.integers(0, 2**32))
+    def test_betti_numbers_match_per_k(self, d, max_vertices, seed):
+        X = random_small_complex(random.Random(seed), d, max_vertices)
+        assert betti_numbers(X) == [reduced_betti(X, k) for k in range(X.dim + 1)]
+
+    def test_betti_numbers_nonzero(self):
+        for X, want in [
+            (boundary_corridor(2, 6), [0, 0, 1]),
+            (boundary_corridor(3, 9), [0, 0, 0, 1]),
+            (tightness_example(2), [0, 1, 0]),
+            (boundary_complex_of_simplex([1, 2, 3]), [0, 1]),
+            (complex_from_facets([[1, 2], [3, 4, 5]]), [1, 0, 0]),
+        ]:
+            assert betti_numbers(X) == want
+            assert want == [reduced_betti(X, k) for k in range(X.dim + 1)]
 
 
 class TestSmallFacetLemma:
