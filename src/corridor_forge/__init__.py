@@ -4,6 +4,7 @@ complexes and pseudomanifolds."""
 from .complexes import (
     SimplicialComplex,
     boundary_corridor,
+    boundary_corridor_diameter,
     complex_from_facets,
     corridor_face_count,
     f_vector,

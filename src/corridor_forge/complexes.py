@@ -132,6 +132,35 @@ def boundary_corridor(d: int, N: int) -> SimplicialComplex:
     return SimplicialComplex(n=N, facets=frozenset(window_faces(range(1, N + 1), d + 1, d)))
 
 
+def boundary_corridor_diameter(d: int, N: int) -> int:
+    """Dual diameter floor(dN/(d+1)) - d + 1 of boundary_corridor(d, N).
+
+    Each facet is W_a minus one vertex x, for the one window W_a = {a, ...,
+    a+d+1} (1 <= a <= m = N-d-1) that holds it: x = a only in the last
+    window and x = a+d+1 only in the first, as W_a minus a lies in W_{a+1}
+    and W_a minus a+d+1 in W_{a-1}. So there are dm + 2 facets.
+
+    Lower bound. Windows three or more apart share fewer than d vertices.
+    W_a and W_{a+1} share d+1, so facets (a, x) and (a+1, y) are adjacent
+    iff y = x. W_a and W_{a+2} share d, so (a, x) and (a+2, y) are adjacent
+    iff both hold all d, which leaves x = a+1 and y = a+d+2. Along each dual
+    edge, then, Phi = a - x/(d+1) changes by at most 1. The facets (1, d+2)
+    and (m, m) differ in Phi by (dm+1)/(d+1), so they lie at least
+    ceil((dm+1)/(d+1)) apart, which is the formula as dm = dN - d(d+1).
+
+    Upper bound. SC_{d+1}(N) is a stacked ball: each window is glued to the
+    previous one along a boundary d-face. So its boundary is the boundary
+    of a stacked (d+1)-polytope, and the dual graph is the graph of the
+    polar, a simple (d+1)-polytope: (d+1)-connected by Balinski (1961).
+    Each facet has d+1 neighbors, so kappa = d+1, and the Caccetta-Smyth
+    bound caccetta_smyth_bound(dm+2, d+1) = floor(dm/(d+1)) + 1 equals
+    ceil((dm+1)/(d+1)).
+    """
+    if d < 1 or N < d + 2:
+        raise InvalidParams(f"need N >= d + 2 and d >= 1, got N={N}, d={d}")
+    return d * N // (d + 1) - d + 1
+
+
 def corridor_face_count(D: int, N: int, k: int) -> int:
     """Number of codimension-k faces of SC_D(N), in closed form."""
     if N < D + 1:

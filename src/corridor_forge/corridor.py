@@ -53,11 +53,12 @@ TRACKER_SEED_SALT = 0x7A11_0C0D
 @dataclass(frozen=True)
 class ProcessSpec:
     """What sets a mapping process apart: its window width w = d + extra,
-    its error function e(d, p) and its cap on the size |A| of a tracked
-    complex. Everything else, the image's face counts included, follows from w."""
+    the exponent of its error function e(d, p) and its cap on the size |A|
+    of a tracked complex. Everything else, the image's face counts included,
+    follows from w."""
 
     extra: int
-    error_function: Callable[[int, float], float]
+    exponent: Callable[[int, float], float]
     size_cap: Callable[[int], int]
 
     def width(self, d: int) -> int:
@@ -96,29 +97,34 @@ class ProcessSpec:
         """Surviving-face density 1 - rate*d!*t at scaled time t = i / n^d."""
         return 1.0 - self.rate(d) * math.factorial(d) * i / n**d
 
+    def error_function(self, d: int, p: float) -> float:
+        """e(t) = exp(exponent(d, p)), grown fast enough to keep the centered
+        statistics one-sided; inf on overflow."""
+        if p <= 0:
+            raise OutOfRegime(f"p={p} <= 0")
+        exponent = self.exponent(d, p)
+        try:
+            return math.exp(exponent)
+        except OverflowError:
+            return math.inf
 
-def error_function(d: int, p: float) -> float:
-    """e(t) = exp{(10d+11) p^{-d^2}}; grows fast enough to keep the
-    centered statistics one-sided. Returns inf on overflow."""
-    if p <= 0:
-        raise OutOfRegime(f"p={p} <= 0")
-    exponent = (10 * d + 11) * p ** (-d * d)
-    try:
-        return math.exp(exponent)
-    except OverflowError:
-        return math.inf
 
-
-# The corridor process: window width d, |A| <= d^2.
-CORRIDOR = ProcessSpec(extra=0, error_function=error_function, size_cap=lambda d: d * d)
+# The corridor process: window width d, e(t) = exp{(10d+11) p^{-d^2}}, |A| <= d^2.
+CORRIDOR = ProcessSpec(
+    extra=0,
+    exponent=lambda d, p: (10 * d + 11) * p ** (-d * d),
+    size_cap=lambda d: d * d,
+)
 
 
 def i_end(n: int, d: int, eps: float) -> int | None:
     """Step count (1/(d*d!) - (log n)^{-eps}) n^d from the headline bound.
 
     Returns None (asymptotic-only) when the formula is nonpositive at
-    this n; requires 0 < eps < 1/d^2 strictly.
+    this n; requires n > d >= 1 and 0 < eps < 1/d^2 strictly.
     """
+    if d < 1 or n <= d:
+        raise InvalidParams(f"need n > d >= 1, got n={n}, d={d}")
     if not 0 < eps < 1.0 / (d * d):
         raise InvalidParams(f"need 0 < eps < 1/d^2, got {eps}")
     value = (1.0 / (d * math.factorial(d)) - math.log(n) ** (-eps)) * n**d

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import Face, SimplicialComplex, k_faces
-from .errors import InvalidFace
+from .errors import InvalidFace, InvalidParams
 
 
 @dataclass
@@ -104,8 +104,6 @@ def tightness_example(d: int) -> SimplicialComplex:
     """A complex with d + 1 facets and nonzero reduced homology in
     dimension d - 1: each (d-1)-face of the central simplex boundary on
     [d+1] is coned to its own fresh apex."""
-    from .errors import InvalidParams
-
     if d < 2:
         raise InvalidParams("need d >= 2")
     center = tuple(range(1, d + 2))

@@ -5,10 +5,14 @@ complete d-complex on [n], one vertex at a time, never repeating a
 (d-1)-face. It is the engine of corridor.py with a window of w = d+1
 vertices: each step cones over the codimension-2 skeleton of the previous
 d+1 chosen vertices, closing binom(d+1, 2) new (d-1)-faces. pm_run is
-corridor.run, which maps that boundary through phi and proves the image a
-faithful copy of it, followed by the pseudomanifold analysis: the image
-must be a pseudomanifold, and its dual diameter, when computed, at least
-the known lower bound for the boundary corridor.
+corridor.run, which maps the boundary corridor on M vertices through phi
+and proves the image a faithful copy of it, followed by the pseudomanifold
+analysis. The image must be a pseudomanifold. Its dual graph is the
+boundary corridor's, so its diameter is the closed form
+boundary_corridor_diameter(d, M), proved in that function's docstring; no
+graph is built. The run checks it against both halves of the sandwich:
+at least pm_diameter_lower(M, d) and at most the Caccetta-Smyth bound on
+the image's facets at connectivity d+1.
 """
 
 from __future__ import annotations
@@ -17,27 +21,16 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .complexes import is_pseudomanifold
+from .complexes import boundary_corridor_diameter, is_pseudomanifold
 from .corridor import ProcessConfig, ProcessSpec, RunReport, run
-from .dual import build_dual, diameter
-from .errors import InvalidParams, OutOfRegime, VerificationError
+from .dual import caccetta_smyth_bound
+from .errors import InvalidParams, VerificationError
 
-
-def pm_error_function(d: int, p: float) -> float:
-    """e(t) = exp{16d p^{-(d^3/2 + d^2/2 - 1)}}; inf on overflow."""
-    if p <= 0:
-        raise OutOfRegime(f"p={p} <= 0")
-    exponent = 16 * d * p ** (-(d**3 / 2 + d**2 / 2 - 1))
-    try:
-        return math.exp(exponent)
-    except OverflowError:
-        return math.inf
-
-
-# The pseudomanifold process: window width d+1, |A| <= d + (d+2) C(d,2).
+# The pseudomanifold process: window width d+1,
+# e(t) = exp{16d p^{-(d^3/2 + d^2/2 - 1)}}, |A| <= d + (d+2) C(d,2).
 PM = ProcessSpec(
     extra=1,
-    error_function=pm_error_function,
+    exponent=lambda d, p: 16 * d * p ** (-(d**3 / 2 + d**2 / 2 - 1)),
     size_cap=lambda d: d + (d + 2) * math.comb(d, 2),
 )
 
@@ -59,6 +52,10 @@ def hpm_upper(n: int, d: int) -> float:
 
 @dataclass
 class PmConfig(ProcessConfig):
+    """A pseudomanifold run. compute_diameter=False leaves dual_diameter None
+    and skips the sandwich check. The closed form costs nothing, so the
+    option stays only because perfbench/workloads.py passes it."""
+
     compute_diameter: bool = True
     spec: ClassVar[ProcessSpec] = PM
 
@@ -73,8 +70,9 @@ class PmRunReport(RunReport):
 
 def pm_run(config: PmConfig) -> PmRunReport:
     """run(config), then the pseudomanifold checks on its verified image:
-    the image is a pseudomanifold and, when computed, its dual diameter is
-    at least pm_diameter_lower(M, d)."""
+    the image is a pseudomanifold and, when computed, its dual diameter
+    boundary_corridor_diameter(d, M) lies between pm_diameter_lower(M, d)
+    and the Caccetta-Smyth bound on its facets at connectivity d+1."""
     report = run(config)
     d = config.d
     if not is_pseudomanifold(report.image, d):
@@ -83,10 +81,15 @@ def pm_run(config: PmConfig) -> PmRunReport:
     lower = pm_diameter_lower(m, d)
     dual_diameter = None
     if config.compute_diameter:
-        dual_diameter = diameter(build_dual(report.image, d))
+        dual_diameter = boundary_corridor_diameter(d, m)
         if dual_diameter < lower:
             raise VerificationError(
                 f"dual diameter {dual_diameter} is below the lower bound {lower}"
+            )
+        upper = caccetta_smyth_bound(len(report.image.facets), d + 1)
+        if dual_diameter > upper:
+            raise VerificationError(
+                f"dual diameter {dual_diameter} is above the Caccetta-Smyth bound {upper}"
             )
     return PmRunReport(
         **vars(report),

@@ -23,7 +23,6 @@ from corridor_forge.corridor import (
     assemble,
     candidates,
     default_tracked_family,
-    error_function,
     i_end,
     init,
     run,
@@ -150,7 +149,7 @@ class TestFormulas:
             predicted_y(100, CORRIDOR.p(100, 2, 3000), 2)
 
     def test_error_function_at_one(self):
-        assert error_function(2, 1.0) == pytest.approx(math.exp(31))
+        assert CORRIDOR.error_function(2, 1.0) == pytest.approx(math.exp(31))
 
     def test_error_band_value_and_growth(self):
         def band(t):
@@ -177,6 +176,11 @@ class TestFormulas:
             i_end(1000, 2, 0.25)
         with pytest.raises(InvalidParams):
             i_end(1000, 2, 0.0)
+
+    @pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (0, 2), (5, 0), (5, -1)])
+    def test_i_end_needs_n_above_d_at_least_one(self, n, d):
+        with pytest.raises(InvalidParams, match="n > d >= 1"):
+            i_end(n, d, 0.1)
 
     def test_volume_bound(self):
         assert CORRIDOR.max_steps(10, 2) == pytest.approx((45 - 3) / 2)

@@ -1,5 +1,6 @@
+from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import ceil, comb
 
 import networkx as nx
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.sparse.csgraph import maximum_flow as scipy_maximum_flow
 from corridor_forge import dual
 from corridor_forge.complexes import (
     boundary_corridor,
+    boundary_corridor_diameter,
     complex_from_facets,
     straight_corridor,
 )
@@ -279,8 +281,7 @@ class TestBfsBudget:
             want = N - d - 1
         else:
             g = build_dual(boundary_corridor(d, N), d)
-            # the all-pairs value at these sizes
-            want = d * N // (d + 1) - d + 1
+            want = boundary_corridor_diameter(d, N)
             assert want >= pm_diameter_lower(N, d)
         assert oracle_diameter(g) == want
         calls = []
@@ -292,6 +293,48 @@ class TestBfsBudget:
         monkeypatch.setattr(dual, "_bfs_distances", counting_bfs)
         assert diameter(g) == want
         assert len(calls) <= 16
+
+
+class TestBoundaryCorridorDiameter:
+    """Each step of the proof in boundary_corridor_diameter's docstring."""
+
+    @staticmethod
+    def window_and_missing(facet, d, N):
+        """(a, x): the one window W_a = {a, ..., a+d+1} holding the facet,
+        and the vertex of W_a it misses."""
+        m = N - d - 1
+        (a,) = [a for a in range(1, m + 1) if a <= facet[0] and facet[-1] <= a + d + 1]
+        (x,) = set(range(a, a + d + 2)) - set(facet)
+        return a, x
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_formula_sandwich_and_potential(self, d):
+        for N in range(d + 2, 61):
+            m = N - d - 1
+            g = build_dual(boundary_corridor(d, N), d)
+            want = boundary_corridor_diameter(d, N)
+            assert g.num_nodes == d * m + 2
+            assert set(g.degrees()) == {d + 1}
+            assert diameter(g) == want == caccetta_smyth_bound(g.num_nodes, d + 1)
+            if N <= 30:
+                assert oracle_diameter(g) == want
+            ax = [self.window_and_missing(f, d, N) for f in g.nodes]
+            phi = [a - Fraction(x, d + 1) for a, x in ax]
+            for u, nbrs in enumerate(g.adj):
+                for v in nbrs:
+                    (a, x), (b, y) = sorted((ax[u], ax[v]))
+                    # one window, (a, x)-(a+1, x) or (a, a+1)-(a+2, a+d+2)
+                    assert b == a or (b, y) == (a + 1, x) or (x, b, y) == (a + 1, a + 2, a + d + 2)
+                    assert abs(phi[u] - phi[v]) <= 1
+            gap = phi[ax.index((m, m))] - phi[ax.index((1, d + 2))]
+            assert gap == Fraction(d * m + 1, d + 1)
+            assert ceil(gap) == want
+
+    def test_guard(self):
+        with pytest.raises(InvalidParams):
+            boundary_corridor_diameter(2, 3)
+        with pytest.raises(InvalidParams):
+            boundary_corridor_diameter(0, 5)
 
 
 class TestConnectivityPredicates:

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from corridor_forge import corridor, pm
-from corridor_forge.complexes import boundary_corridor, f_vector
+from corridor_forge import corridor, dual, pm
+from corridor_forge.complexes import boundary_corridor, boundary_corridor_diameter, f_vector
 from corridor_forge.corridor import (
     CORRIDOR,
     ProcessSpec,
@@ -20,7 +20,6 @@ from corridor_forge.pm import (
     PmConfig,
     hpm_upper,
     pm_diameter_lower,
-    pm_error_function,
     pm_run,
 )
 from corridor_forge.trajectory import band_halfwidth, predicted_y
@@ -84,7 +83,7 @@ class TestFormulas:
             predicted_y(100, PM.p(100, 2, 2000), 2)
 
     def test_error_function_at_one(self):
-        assert pm_error_function(2, 1.0) == pytest.approx(math.exp(32))
+        assert PM.error_function(2, 1.0) == pytest.approx(math.exp(32))
 
     def test_error_band_monotone_and_vacuous(self):
         def band(t):
@@ -187,6 +186,7 @@ class TestMetamorphic:
         structural = boundary_corridor(d, report.mapped_vertices)
         assert structural.facets == oracle_window_faces(report.mapped_vertices, d + 1, d)
         assert report.dual_diameter == diameter(build_dual(structural, d))
+        assert diameter(build_dual(report.image, d)) == report.dual_diameter
 
 
 class TestSandwich:
@@ -203,9 +203,36 @@ class TestSandwich:
             raise AssertionError("diameter computed on an unverified image")
 
         monkeypatch.setattr(corridor, "verify_process", fail)
-        monkeypatch.setattr(pm, "diameter", never)
+        monkeypatch.setattr(pm, "boundary_corridor_diameter", never)
         with pytest.raises(VerificationError, match="forced failure"):
             pm_run(PmConfig(n=40, d=2, seed=1))
+
+    def test_diameter_above_caccetta_smyth_rejected(self, monkeypatch):
+        monkeypatch.setattr(pm, "caccetta_smyth_bound", lambda num_nodes, K: 0)
+        with pytest.raises(VerificationError, match="above the Caccetta-Smyth bound"):
+            pm_run(PmConfig(n=40, d=2, seed=1))
+
+    def test_upper_bound_taken_at_kappa_d_plus_one(self, monkeypatch):
+        seen = []
+
+        def bound(num_nodes, K):
+            seen.append((num_nodes, K))
+            return caccetta_smyth_bound(num_nodes, K)
+
+        monkeypatch.setattr(pm, "caccetta_smyth_bound", bound)
+        report = pm_run(PmConfig(n=30, d=3, seed=2))
+        assert seen == [(len(report.image.facets), 4)]
+        # the sandwich is tight at the top
+        assert report.dual_diameter == caccetta_smyth_bound(*seen[0])
+
+    def test_no_graph_is_built(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("pm_run built or searched a dual graph")
+
+        monkeypatch.setattr(dual, "build_dual", never)
+        monkeypatch.setattr(dual, "diameter", never)
+        report = pm_run(PmConfig(n=60, d=2, seed=1))
+        assert report.dual_diameter == boundary_corridor_diameter(2, report.mapped_vertices)
 
     def test_volume_bound_checked(self, monkeypatch):
         monkeypatch.setattr(ProcessSpec, "max_steps", lambda self, n, d: 0)
