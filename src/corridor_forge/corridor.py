@@ -312,9 +312,9 @@ def _record(state: ProcessState, terminal_y: int) -> TrajectoryRecord:
     snap = state.tracker.snapshot()
     for tc in state.tracker.tracked:
         y, w = snap[tc.name]
-        z = tuple(z_statistic(wj, n, p, tc.size, e_val, period) for wj in w)
         entries[tc.name] = TrajectoryEntry(
-            size=tc.size, y=y, w=w, pred=predicted_y(n, p, tc.size), band=band, z=z
+            size=tc.size, y=y, w=w, pred=predicted_y(n, p, tc.size), band=band,
+            z=z_statistic(w, n, p, tc.size, band, period),
         )
     return TrajectoryRecord(step=i, t=t, p=p, terminal_y=terminal_y, entries=entries)
 

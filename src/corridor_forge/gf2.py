@@ -1,8 +1,12 @@
 """GF(2) boundary matrices and reduced Betti numbers.
 
 Matrices are stored as one Python int bitmask per row; elimination is
-word-level XOR. Homology is reduced: dimension 0 is augmented by the
-empty face, so a single simplex has all reduced Betti numbers zero.
+word-level XOR. A matrix whose rows have at most two set bits each is the
+incidence matrix of a graph and is ranked by union-find instead: the top
+boundary of every pseudomanifold and corridor image is one, since each of
+their (d-1)-faces lies in one or two facets. Homology is reduced:
+dimension 0 is augmented by the empty face, so a single simplex has all
+reduced Betti numbers zero.
 """
 
 from __future__ import annotations
@@ -25,10 +29,21 @@ class Gf2Matrix:
 
 
 def rank_gf2(m: Gf2Matrix) -> int:
-    """Rank over GF(2): each row is reduced against a table of pivot rows
-    keyed by their lowest set bit until it vanishes or opens a new pivot.
-    XOR with the pivot sharing the row's lowest bit clears that bit and
-    touches only higher ones, so the pivots stay independent."""
+    """Rank over GF(2).
+
+    When every row has at most two set bits the matrix is the incidence
+    matrix of a graph: columns are nodes, a two-bit row is an edge and a
+    one-bit row an edge to an extra ground node. Its rank is then the edge
+    count of a spanning forest, found by union-find in near-linear time.
+    The top boundary ∂_d of a pseudomanifold (each (d-1)-face in exactly
+    two facets) and of a corridor image (in one or two) is such a matrix.
+
+    Any other matrix is reduced row by row against a table of pivot rows
+    keyed by their lowest set bit until the row vanishes or opens a new
+    pivot. XOR with the pivot sharing the row's lowest bit clears that bit
+    and touches only higher ones, so the pivots stay independent."""
+    if all(row.bit_count() <= 2 for row in m.bits):
+        return _forest_rank(m.bits)
     pivots: dict[int, int] = {}
     for row in m.bits:
         while row:
@@ -39,6 +54,32 @@ def rank_gf2(m: Gf2Matrix) -> int:
                 break
             row ^= pivot
     return len(pivots)
+
+
+def _forest_rank(bits: list[int]) -> int:
+    """Spanning-forest edge count of the graph whose edges are the rows,
+    each of at most two set bits. The ground node sits above the highest
+    set bit, not at ``cols``: nothing keeps the bits below ``cols``."""
+    ground = max(map(int.bit_length, bits), default=0)
+    parent = list(range(ground + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    rank = 0
+    for row in bits:
+        if not row:
+            continue
+        low = row & -row
+        high = row ^ low
+        a = find(low.bit_length() - 1)
+        b = find(high.bit_length() - 1 if high else ground)
+        if a != b:
+            parent[a] = b
+            rank += 1
+    return rank
 
 
 def _boundary(faces_k: list[Face], faces_low: list[Face], k: int) -> Gf2Matrix:
@@ -62,21 +103,30 @@ def boundary_matrix(X: SimplicialComplex, k: int) -> Gf2Matrix:
     return _boundary(sorted(k_faces(X, k)), faces_low, k)
 
 
+def _face_lists(X: SimplicialComplex, lo: int, hi: int) -> list[list[Face]]:
+    """Sorted k-face lists for k = lo..hi; k = -1 lists the empty face,
+    the augmentation."""
+    return [sorted(k_faces(X, k)) if k >= 0 else [()] for k in range(lo, hi + 1)]
+
+
 def reduced_betti(X: SimplicialComplex, k: int) -> int:
-    """dim ker d_k - rank d_{k+1} over GF(2), with augmentation at k = 0."""
-    num_k = len(k_faces(X, k))
-    if num_k == 0:
+    """dim ker d_k - rank d_{k+1} over GF(2), with augmentation at k = 0;
+    lists the (k-1)-, k- and (k+1)-faces once each."""
+    if k < 0:
+        raise InvalidParams("k must be nonnegative")
+    low, faces, up = _face_lists(X, k - 1, k + 1)
+    if not faces:
         return 0
-    rank_k = rank_gf2(boundary_matrix(X, k))
-    rank_up = rank_gf2(boundary_matrix(X, k + 1))
-    return num_k - rank_k - rank_up
+    rank_k = rank_gf2(_boundary(faces, low, k))
+    rank_up = rank_gf2(_boundary(up, faces, k + 1))
+    return len(faces) - rank_k - rank_up
 
 
 def betti_numbers(X: SimplicialComplex) -> list[int]:
     """Every reduced Betti number, k = 0..dim, listing each face set and
     building and ranking each boundary matrix once (reduced_betti per k
     builds each twice)."""
-    faces = [[()]] + [sorted(k_faces(X, k)) for k in range(X.dim + 1)]
+    faces = _face_lists(X, -1, X.dim)
     ranks = [rank_gf2(_boundary(faces[k + 1], faces[k], k)) for k in range(X.dim + 1)]
     ranks.append(0)  # no (dim+1)-faces
     return [len(faces[k + 1]) - ranks[k] - ranks[k + 1] for k in range(X.dim + 1)]

@@ -125,9 +125,10 @@ def band_halfwidth(n: int, e_value: float) -> float:
 
 
 def z_statistic(
-    w_value: int, n: int, p: float, size_a: int, e_value: float, period: int
-) -> float:
-    """Centered supermartingale statistic: W minus trajectory minus
-    half-band, all scaled by the subsequence period."""
-    traj = n * (1 - p**size_a)
-    return w_value - (traj + band_halfwidth(n, e_value)) / period
+    w: tuple[int, ...], n: int, p: float, size_a: int, band: float, period: int
+) -> tuple[float, ...]:
+    """Centered supermartingale statistic of each W_{A,j}: W minus
+    trajectory minus half-band ``band``, the latter two scaled by the
+    subsequence period."""
+    offset = (n * (1 - p**size_a) + band) / period
+    return tuple(wj - offset for wj in w)

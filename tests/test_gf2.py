@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corridor_forge import gf2
 from corridor_forge.complexes import (
     boundary_corridor,
     complex_from_facets,
     f_vector,
     k_faces,
 )
-from corridor_forge.errors import InvalidFace
+from corridor_forge.corridor import ProcessConfig, run
+from corridor_forge.errors import InvalidFace, InvalidParams
 from corridor_forge.gf2 import (
     Gf2Matrix,
     betti_numbers,
@@ -21,6 +23,7 @@ from corridor_forge.gf2 import (
     reduced_betti,
     tightness_example,
 )
+from corridor_forge.pm import PmConfig, pm_run
 from util import (
     boundary_complex_of_simplex,
     boundary_squares_to_zero,
@@ -62,6 +65,24 @@ def bit_matrices(draw):
 
 
 @st.composite
+def graphic_matrices(draw):
+    """Rows of weight 0, 1 and 2 (the union-find path): zero rows,
+    one-bit rows and duplicates."""
+    cols = draw(st.integers(1, 80))
+    bit = st.integers(0, cols - 1).map(lambda j: 1 << j)
+    row = st.one_of(
+        st.just(0),
+        bit,
+        st.tuples(bit, bit).map(lambda ab: ab[0] | ab[1]),
+    )
+    rows = draw(st.lists(row, max_size=60))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=10))
+    rows = draw(st.permutations(rows))
+    return Gf2Matrix(rows=len(rows), cols=cols, bits=rows)
+
+
+@st.composite
 def random_complexes(draw):
     facet = st.sets(st.integers(1, 9), min_size=1, max_size=5)
     facets = draw(st.lists(facet, min_size=1, max_size=12))
@@ -88,6 +109,38 @@ class TestRank:
         X = boundary_corridor(d, N)
         for k in range(d + 2):
             m = boundary_matrix(X, k)
+            assert rank_gf2(m) == oracle_rank(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphic_matrices())
+    def test_graphic_matches_elimination_oracle(self, m):
+        got = rank_gf2(m)
+        assert got == oracle_rank(m)
+        assert got <= min(m.rows, m.cols)
+
+    def test_path_choice(self, monkeypatch):
+        calls = []
+        forest = gf2._forest_rank
+        monkeypatch.setattr(gf2, "_forest_rank", lambda bits: calls.append(bits) or forest(bits))
+        assert rank_gf2(Gf2Matrix(rows=3, cols=4, bits=[0b11, 0b110, 0b1])) == 3
+        assert len(calls) == 1
+        assert rank_gf2(Gf2Matrix(rows=3, cols=4, bits=[0b11, 0b1110, 0b1])) == 3
+        assert len(calls) == 1
+
+    def test_graphic_bits_beyond_cols(self):
+        # Gf2Matrix does not keep bits below cols; the ground node must
+        # not collide with a column
+        assert rank_gf2(Gf2Matrix(rows=2, cols=1, bits=[1 << 5, 1])) == 2
+        assert rank_gf2(Gf2Matrix(rows=3, cols=1, bits=[1 << 5, 1, 1 | 1 << 5])) == 2
+
+    @pytest.mark.parametrize("d,n", [(2, 30), (3, 20)])
+    def test_top_boundary_of_images(self, d, n):
+        # corridor images have ridges of one facet (edges to the ground
+        # node); pm images are pseudomanifolds (every ridge in two facets)
+        for X, weights in [(run(ProcessConfig(n=n, d=d, seed=1)).image, {1, 2}),
+                           (pm_run(PmConfig(n=n, d=d, seed=1)).image, {2})]:
+            m = boundary_matrix(X, d)
+            assert {row.bit_count() for row in m.bits} == weights
             assert rank_gf2(m) == oracle_rank(m)
 
     def test_identity(self):
@@ -160,6 +213,13 @@ class TestReducedBetti:
                 (-1) ** k * reduced_betti(X, k) for k in range(len(fv))
             )
             assert betti_sum == chi - 1
+
+    def test_k_out_of_range(self):
+        X = boundary_corridor(2, 6)
+        with pytest.raises(InvalidParams):
+            reduced_betti(X, -1)
+        assert reduced_betti(X, 3) == 0
+        assert reduced_betti(X, 7) == 0
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 5), st.integers(6, 12), st.integers(0, 2**32))
