@@ -6,7 +6,8 @@ incidence matrix of a graph and is ranked by union-find instead: the top
 boundary of every pseudomanifold and corridor image is one, since each of
 their (d-1)-faces lies in one or two facets. Homology is reduced:
 dimension 0 is augmented by the empty face, so a single simplex has all
-reduced Betti numbers zero.
+reduced Betti numbers zero. Each complex computes its face counts and
+boundary ranks once; every Betti number is read from that record.
 """
 
 from __future__ import annotations
@@ -103,33 +104,36 @@ def boundary_matrix(X: SimplicialComplex, k: int) -> Gf2Matrix:
     return _boundary(sorted(k_faces(X, k)), faces_low, k)
 
 
-def _face_lists(X: SimplicialComplex, lo: int, hi: int) -> list[list[Face]]:
-    """Sorted k-face lists for k = lo..hi; k = -1 lists the empty face,
-    the augmentation."""
-    return [sorted(k_faces(X, k)) if k >= 0 else [()] for k in range(lo, hi + 1)]
+def _homology(X: SimplicialComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Face counts f_0..f_dim and ranks of ∂_0..∂_{dim+1} (the last is 0:
+    no (dim+1)-faces), listing each face set and building and ranking each
+    boundary matrix once. The record is kept in the instance's __dict__,
+    as functools.cached_property keeps its values, so it lives and dies
+    with X and no two complexes share one."""
+    record = vars(X).get("_gf2_homology")
+    if record is None:
+        faces = [[()]] + [sorted(k_faces(X, k)) for k in range(X.dim + 1)]
+        ranks = [rank_gf2(_boundary(faces[k + 1], faces[k], k)) for k in range(X.dim + 1)]
+        record = vars(X)["_gf2_homology"] = (tuple(map(len, faces[1:])), (*ranks, 0))
+    return record
 
 
 def reduced_betti(X: SimplicialComplex, k: int) -> int:
     """dim ker d_k - rank d_{k+1} over GF(2), with augmentation at k = 0;
-    lists the (k-1)-, k- and (k+1)-faces once each."""
+    0 past dim X. The first call on X ranks every boundary (see
+    _homology); later calls for any k only read the record."""
     if k < 0:
         raise InvalidParams("k must be nonnegative")
-    low, faces, up = _face_lists(X, k - 1, k + 1)
-    if not faces:
-        return 0
-    rank_k = rank_gf2(_boundary(faces, low, k))
-    rank_up = rank_gf2(_boundary(up, faces, k + 1))
-    return len(faces) - rank_k - rank_up
+    betti = betti_numbers(X)
+    return betti[k] if k < len(betti) else 0
 
 
 def betti_numbers(X: SimplicialComplex) -> list[int]:
-    """Every reduced Betti number, k = 0..dim, listing each face set and
-    building and ranking each boundary matrix once (reduced_betti per k
-    builds each twice)."""
-    faces = _face_lists(X, -1, X.dim)
-    ranks = [rank_gf2(_boundary(faces[k + 1], faces[k], k)) for k in range(X.dim + 1)]
-    ranks.append(0)  # no (dim+1)-faces
-    return [len(faces[k + 1]) - ranks[k] - ranks[k + 1] for k in range(X.dim + 1)]
+    """Every reduced Betti number, k = 0..dim, from the same record as
+    reduced_betti: each face set is listed and each boundary matrix built
+    and ranked once per complex, whichever entry point asks first."""
+    counts, ranks = _homology(X)
+    return [counts[k] - ranks[k] - ranks[k + 1] for k in range(len(counts))]
 
 
 @dataclass(frozen=True)

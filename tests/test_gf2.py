@@ -1,4 +1,6 @@
 import random
+from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from corridor_forge import gf2
 from corridor_forge.complexes import (
+    SimplicialComplex,
     boundary_corridor,
     complex_from_facets,
     f_vector,
@@ -28,22 +31,10 @@ from util import (
     boundary_complex_of_simplex,
     boundary_squares_to_zero,
     matmul_gf2,
+    oracle_betti,
+    oracle_rank,
     random_small_complex,
 )
-
-
-def oracle_rank(m):
-    """The former rank: Gaussian elimination that clears the pivot bit
-    from every remaining row."""
-    work = [b for b in m.bits if b]
-    rank = 0
-    while work:
-        pivot_row = work.pop()
-        pivot_bit = pivot_row & -pivot_row
-        rank += 1
-        work = [(r ^ pivot_row) if (r & pivot_bit) else r for r in work]
-        work = [r for r in work if r]
-    return rank
 
 
 @st.composite
@@ -209,10 +200,9 @@ class TestReducedBetti:
         for X in complexes:
             fv = f_vector(X)
             chi = sum((-1) ** k * c for k, c in enumerate(fv))
-            betti_sum = sum(
-                (-1) ** k * reduced_betti(X, k) for k in range(len(fv))
-            )
-            assert betti_sum == chi - 1
+            betti = [oracle_betti(X, k) for k in range(len(fv))]
+            assert sum((-1) ** k * b for k, b in enumerate(betti)) == chi - 1
+            assert [reduced_betti(X, k) for k in range(len(fv))] == betti
 
     def test_k_out_of_range(self):
         X = boundary_corridor(2, 6)
@@ -225,7 +215,9 @@ class TestReducedBetti:
     @given(st.integers(1, 5), st.integers(6, 12), st.integers(0, 2**32))
     def test_betti_numbers_match_per_k(self, d, max_vertices, seed):
         X = random_small_complex(random.Random(seed), d, max_vertices)
-        assert betti_numbers(X) == [reduced_betti(X, k) for k in range(X.dim + 1)]
+        want = [oracle_betti(X, k) for k in range(X.dim + 1)]
+        assert betti_numbers(X) == want
+        assert [reduced_betti(X, k) for k in range(X.dim + 1)] == want
 
     def test_betti_numbers_nonzero(self):
         for X, want in [
@@ -235,8 +227,69 @@ class TestReducedBetti:
             (boundary_complex_of_simplex([1, 2, 3]), [0, 1]),
             (complex_from_facets([[1, 2], [3, 4, 5]]), [1, 0, 0]),
         ]:
+            assert want == [oracle_betti(X, k) for k in range(X.dim + 1)]
             assert betti_numbers(X) == want
-            assert want == [reduced_betti(X, k) for k in range(X.dim + 1)]
+
+
+IMAGES = [("corridor", 30, 2), ("pm", 30, 2), ("corridor", 20, 3), ("pm", 20, 3)]
+
+
+@cache
+def image_oracle(kind, n, d):
+    """An image's vertex count, facets and oracle Betti numbers for
+    k = 0..d+2, computed once per image."""
+    if kind == "corridor":
+        X = run(ProcessConfig(n=n, d=d, seed=1)).image
+    else:
+        X = pm_run(PmConfig(n=n, d=d, seed=1)).image
+    return X.n, X.facets, [oracle_betti(X, k) for k in range(d + 3)]
+
+
+@st.composite
+def complexes_with_oracle(draw):
+    """A complex without a homology record yet, and its oracle Betti
+    numbers for k = 0..dim+2."""
+    image = draw(st.one_of(st.none(), st.sampled_from(IMAGES)))
+    if image is None:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        X = random_small_complex(rng, draw(st.integers(1, 5)), draw(st.integers(6, 12)))
+        return X, [oracle_betti(X, k) for k in range(X.dim + 3)]
+    n, facets, want = image_oracle(*image)
+    return SimplicialComplex(n=n, facets=facets), want
+
+
+class TestHomologyRecord:
+    @settings(max_examples=100, deadline=None)
+    @given(complexes_with_oracle(), st.randoms(use_true_random=False))
+    def test_any_order_matches_oracle(self, case, rng):
+        X, want = case
+        ks = list(range(len(want)))  # two past dim X
+        rng.shuffle(ks)
+        assert {k: reduced_betti(X, k) for k in ks} == dict(enumerate(want))
+        assert betti_numbers(X) == want[: X.dim + 1]
+
+    def test_builds_each_boundary_once(self, monkeypatch):
+        image = pm_run(PmConfig(n=30, d=3, seed=1)).image
+        built, listed = [], []
+        boundary, faces = gf2._boundary, gf2.k_faces
+        monkeypatch.setattr(gf2, "_boundary", lambda *a: built.append(a[2]) or boundary(*a))
+        # gf2 calls complexes.k_faces through its own module binding
+        monkeypatch.setattr(gf2, "k_faces", lambda X, k: listed.append(k) or faces(X, k))
+        per_k = [reduced_betti(image, k) for k in range(image.dim + 2)]
+        assert betti_numbers(image) == per_k[:-1]
+        assert sorted(built) == sorted(listed) == list(range(image.dim + 1))
+        # the record belongs to the instance, not to its facets
+        twin = SimplicialComplex(n=image.n, facets=image.facets)
+        assert betti_numbers(twin) == per_k[:-1]
+        assert sorted(built) == sorted(listed) == sorted(2 * list(range(image.dim + 1)))
+
+    def test_list_facets(self):
+        # an unhashable complex still gets its record
+        facets = list(combinations(range(1, 5), 3))
+        X = SimplicialComplex(n=4, facets=facets)
+        assert [reduced_betti(X, k) for k in range(4)] == [0, 0, 1, 0]
+        assert betti_numbers(X) == [0, 0, 1]
+        assert betti_numbers(SimplicialComplex(n=4, facets=facets)) == [0, 0, 1]
 
 
 class TestSmallFacetLemma:

@@ -11,6 +11,7 @@ from operator import xor
 from corridor_forge.complexes import (
     SimplicialComplex,
     complex_from_facets,
+    k_faces,
     make_face,
     straight_corridor,
 )
@@ -32,6 +33,32 @@ def matmul_gf2(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
     assert a.cols == b.rows
     picked = ((b.bits[j] for j in range(b.rows) if row >> j & 1) for row in a.bits)
     return Gf2Matrix(rows=a.rows, cols=b.cols, bits=[reduce(xor, p, 0) for p in picked])
+
+
+def oracle_rank(m: Gf2Matrix) -> int:
+    """The former rank: Gaussian elimination that clears the pivot bit
+    from every remaining row."""
+    work = [b for b in m.bits if b]
+    rank = 0
+    while work:
+        pivot_row = work.pop()
+        pivot_bit = pivot_row & -pivot_row
+        rank += 1
+        work = [(r ^ pivot_row) if (r & pivot_bit) else r for r in work]
+        work = [r for r in work if r]
+    return rank
+
+
+def oracle_betti(X: SimplicialComplex, k: int) -> int:
+    """The reduced Betti number at k from its definition, f_k - rank d_k -
+    rank d_{k+1}, with fresh face lists and matrices and the elimination
+    oracle: the per-k path gf2 used before its per-complex record. Past
+    dim X every term is 0."""
+    return (
+        len(k_faces(X, k))
+        - oracle_rank(boundary_matrix(X, k))
+        - oracle_rank(boundary_matrix(X, k + 1))
+    )
 
 
 def boundary_squares_to_zero(X: SimplicialComplex) -> bool:
