@@ -15,10 +15,8 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from . import experiments, serialize
-from .corridor import ProcessConfig, run
 from .errors import CorridorForgeError, InvalidParams
 from .gf2 import betti_numbers
-from .pm import PmConfig, pm_run
 
 
 def _write_text(text: str, out: str | None):
@@ -33,8 +31,8 @@ def _write_json(obj, out: str | None):
 
 
 def _cmd_generate(args) -> int:
-    pm = args.command == "generate-pm"
-    cfg = (PmConfig if pm else ProcessConfig)(
+    config_cls, runner = experiments.MODES[args.mode]
+    cfg = config_cls(
         n=args.n,
         d=args.d,
         seed=args.seed,
@@ -51,7 +49,7 @@ def _cmd_generate(args) -> int:
     for path in (args.out, traj):
         if path:
             _require_writable_parent(path)
-    report = pm_run(cfg) if pm else run(cfg)
+    report = runner(cfg)
     _write_text(serialize.report_json(report), args.out)
     if traj:
         serialize.write_trajectory_csv(report.records, cfg, traj)
@@ -111,11 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for command, process in (
-        ("generate-corridor", "corridor"),
-        ("generate-pm", "pseudomanifold"),
-    ):
-        p = sub.add_parser(command, help=f"run the {process} process")
+    for mode, process in (("corridor", "corridor"), ("pm", "pseudomanifold")):
+        p = sub.add_parser(f"generate-{mode}", help=f"run the {process} process")
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--seed", type=int, required=True)
@@ -123,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--track-random", type=int, default=10)
         p.add_argument("--out", default=None)
         p.add_argument("--traj-out", default=None)
-        p.set_defaults(func=_cmd_generate)
+        p.set_defaults(func=_cmd_generate, mode=mode)
 
     p = sub.add_parser("analyze", help="diameter/connectivity/f-vector report")
     p.add_argument("input")

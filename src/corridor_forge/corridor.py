@@ -79,6 +79,11 @@ class ProcessSpec:
             raise InvalidParams(f"need n > d >= 1, got n={n}, d={d}")
         return (math.comb(n, d) - self.closed_faces(d, 0)) / self.rate(d)
 
+    def first_order_steps(self, n: int, d: int) -> float:
+        """max_steps to first order in n: n^d / (C(w,d-1) d!), the step at
+        which p reaches 0; n^d / (d d!) for the corridor."""
+        return n**d / (self.rate(d) * math.factorial(d))
+
     def closed_faces(self, d: int, steps: int) -> int:
         """(d-1)-faces closed after ``steps`` steps: C(w+1, d) at the start,
         then C(w, d-1) per step. A faithful image has exactly these."""

@@ -6,7 +6,9 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .complexes import SimplicialComplex, f_vector, is_pseudomanifold
@@ -25,21 +27,13 @@ from .serialize import report_json
 
 THREADS_ENV = "CORRIDOR_FORGE_THREADS"
 
-CONFIGS = {"corridor": ProcessConfig, "pm": PmConfig}
-
-SUMMARY_COLUMNS = [
-    "mode",
-    "n",
-    "d",
-    "seeds",
-    "steps_mean",
-    "steps_min",
-    "steps_max",
-    "first_order",
-    "exact_bound",
-    "ratio",
-    "all_verified",
-]
+# mode -> (config class, runner). The runners look up `run` and `pm_run` in
+# this module when called, so a wrapper set on either later (a profiler's, a
+# test's) is the one that runs.
+MODES = {
+    "corridor": (ProcessConfig, lambda cfg: run(cfg)),
+    "pm": (PmConfig, lambda cfg: pm_run(cfg)),
+}
 
 
 def max_workers() -> int:
@@ -68,18 +62,18 @@ class ExperimentSpec:
         if not isinstance(obj, dict):
             raise InvalidParams("experiment spec must be a JSON object")
         mode = obj.get("mode")
-        if mode not in ("corridor", "pm"):
+        if mode not in MODES:
             raise InvalidParams(f"unknown experiment mode {mode!r}")
         try:
             if "seeds" in obj:
-                seeds = _int_list(obj, "seeds")
+                seeds = _int_list(obj, "seeds", "a seed")
             else:
                 base = _int(obj.get("base_seed", 0), "base_seed")
                 seeds = [base + k for k in range(_int(obj["runs"], "runs"))]
             spec = cls(
                 mode=mode,
-                n_list=_int_list(obj, "n"),
-                d_list=_int_list(obj, "d"),
+                n_list=_int_list(obj, "n", "an n"),
+                d_list=_int_list(obj, "d", "a d"),
                 seeds=seeds,
                 record_every=_int(obj.get("record_every", 0), "record_every"),
                 track_random=_int(obj.get("track_random", 10), "track_random"),
@@ -88,8 +82,6 @@ class ExperimentSpec:
             raise InvalidParams(f"experiment spec is missing {err}") from None
         if not seeds:
             raise InvalidParams("empty seed list")
-        if len(set(seeds)) < len(seeds):
-            raise InvalidParams(f"experiment spec seeds: {seeds} repeats a seed")
         return spec
 
 
@@ -100,60 +92,54 @@ def _int(x, key: str) -> int:
     return x
 
 
-def _int_list(obj: dict, key: str) -> list[int]:
-    """obj[key] as a non-empty list of JSON integers."""
+def _int_list(obj: dict, key: str, item: str) -> list[int]:
+    """obj[key] as a non-empty list of distinct JSON integers."""
     xs = obj[key]
     if not isinstance(xs, list) or not xs:
         raise InvalidParams(f"experiment spec {key}: {xs!r} is not a non-empty list")
-    return [_int(x, key) for x in xs]
+    xs = [_int(x, key) for x in xs]
+    if len(set(xs)) < len(xs):
+        raise InvalidParams(f"experiment spec {key}: {xs} repeats {item}")
+    return xs
 
 
-def _task(args) -> tuple[int, str]:
-    """(steps, report_json text) of one seeded run."""
-    mode, n, d, seed, record_every, track_random = args
-    cfg = CONFIGS[mode](
-        n=n, d=d, seed=seed, record_every=record_every, track_random=track_random
-    )
+def _task(mode: str, cfg: ProcessConfig) -> tuple[int, str]:
+    """(steps, report_json text) of one seeded run of a built config."""
     try:
-        report = pm_run(cfg) if mode == "pm" else run(cfg)
+        report = MODES[mode][1](cfg)
     except VerificationError as err:
-        raise VerificationError(f"seed {seed}: {err}") from err
+        point = f"grid point n={cfg.n} d={cfg.d}: seed {cfg.seed}"
+        raise VerificationError(f"verification failed in {point}: {err}") from err
     return report.steps, report_json(report)
 
 
-def first_order_steps(mode: str, n: int, d: int) -> float:
-    return n**d / (CONFIGS[mode].spec.rate(d) * math.factorial(d))
-
-
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> list[dict]:
-    """Execute every grid point seed-parallel; write one canonical JSON
-    report per run (the bytes of ``report_json``) and a summary CSV. Any
-    run failing its verification invariants aborts with the offending
-    seed in the message."""
+    """Build and validate every grid config, then run them all through one
+    map: a process pool of at most one worker per run, or in this process
+    when one worker is allowed. Writes one canonical JSON report per run
+    (the bytes of ``report_json``) as it arrives, then a summary CSV. Any
+    run failing its verification invariants aborts with the offending grid
+    point and seed in the message."""
+    config_cls, _ = MODES[spec.mode]
+    points = [(n, d) for d in spec.d_list for n in spec.n_list]
+    counts = {"record_every": spec.record_every, "track_random": spec.track_random}
+    configs = [config_cls(n=n, d=d, seed=s, **counts) for n, d in points for s in spec.seeds]
+    for cfg in configs:
+        cfg.validate()
+    workers = min(max_workers(), len(configs))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary: list[dict] = []
-    workers = max_workers()
-    for d in spec.d_list:
-        for n in spec.n_list:
-            jobs = [
-                (spec.mode, n, d, seed, spec.record_every, spec.track_random)
-                for seed in spec.seeds
-            ]
-            try:
-                if workers > 1 and len(jobs) > 1:
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        results = list(pool.map(_task, jobs))
-                else:
-                    results = [_task(j) for j in jobs]
-            except VerificationError as err:
-                raise VerificationError(
-                    f"verification failed in grid point n={n} d={d}: {err}"
-                ) from err
-            steps = [k for k, _ in results]
-            for seed, (_, text) in zip(spec.seeds, results):
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        task = partial(_task, spec.mode)
+        results = (pool.map if pool else map)(task, configs)
+        for n, d in points:
+            steps = []
+            for seed in spec.seeds:
+                k, text = next(results)
                 (out / f"{spec.mode}_n{n}_d{d}_seed{seed}.json").write_text(text)
-            exact = CONFIGS[spec.mode].spec.max_steps(n, d)
+                steps.append(k)
+            exact = config_cls.spec.max_steps(n, d)
             mean = sum(steps) / len(steps)
             summary.append(
                 {
@@ -164,14 +150,14 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> list[dict]:
                     "steps_mean": mean,
                     "steps_min": min(steps),
                     "steps_max": max(steps),
-                    "first_order": first_order_steps(spec.mode, n, d),
+                    "first_order": config_cls.spec.first_order_steps(n, d),
                     "exact_bound": exact,
                     "ratio": mean / exact,
                     "all_verified": True,
                 }
             )
     with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=list(summary[0]))
         writer.writeheader()
         writer.writerows(summary)
     return summary
@@ -222,7 +208,7 @@ def bounds_table(n_list: list[int], d_list: list[int]) -> list[dict]:
                     "n": n,
                     "d": d,
                     "hs_exact": CORRIDOR.max_steps(n, d),
-                    "hs_first_order": first_order_steps("corridor", n, d),
+                    "hs_first_order": CORRIDOR.first_order_steps(n, d),
                     "hpm_exact": hpm_upper(n, d),
                     "hpm_first_order": 2
                     * n**d

@@ -1,20 +1,36 @@
 import csv
 import gc
 import json
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 
-from corridor_forge import cli, corridor
+from corridor_forge import cli, corridor, experiments
 from corridor_forge.cli import main
 from corridor_forge.complexes import boundary_corridor
 from corridor_forge.errors import VerificationError
+from corridor_forge.experiments import ExperimentSpec, run_experiment
 from corridor_forge.serialize import complex_from_dict, save_complex
 
 
 def _run(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr()
+
+
+def _count_pools(monkeypatch) -> list[int]:
+    """The worker count of every process pool run_experiment starts."""
+    started = []
+
+    class Pool(experiments.ProcessPoolExecutor):
+        def __init__(self, workers):
+            started.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
+    return started
 
 
 class TestGenerate:
@@ -170,6 +186,40 @@ class TestExperiment:
         assert main(argv + ["--out", str(single)]) == 0
         assert (out_dir / "corridor_n20_d2_seed1.json").read_bytes() == single.read_bytes()
 
+    @pytest.mark.parametrize("mode", ["corridor", "pm"])
+    def test_pool_writes_the_serial_bytes(self, tmp_path, monkeypatch, mode):
+        started = _count_pools(monkeypatch)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"mode": mode, "n": [20, 24], "d": [2], "seeds": [1, 2]}))
+        outputs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CORRIDOR_FORGE_THREADS", threads)
+            out_dir = tmp_path / f"runs{threads}"
+            assert main(["experiment", "--spec", str(spec), "--out-dir", str(out_dir)]) == 0
+            outputs[threads] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert started == [2]
+        assert len(outputs["1"]) == 5 and "summary.csv" in outputs["1"]
+        assert outputs["2"] == outputs["1"]
+
+    def test_pool_capped_at_job_count(self, tmp_path, monkeypatch):
+        started = _count_pools(monkeypatch)
+        monkeypatch.setenv("CORRIDOR_FORGE_THREADS", "64")
+        spec = ExperimentSpec.from_dict({"mode": "pm", "n": [20], "d": [2], "seeds": [1, 2]})
+        run_experiment(spec, tmp_path)
+        assert started == [2]
+
+    def test_one_job_starts_no_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv("CORRIDOR_FORGE_THREADS", "2")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"mode": "corridor", "n": [20], "d": [2], "seeds": [1]}))
+        out_dir = tmp_path / "runs"
+        assert main(["experiment", "--spec", str(spec), "--out-dir", str(out_dir)]) == 0
+        assert (out_dir / "corridor_n20_d2_seed1.json").exists()
+
 
 class TestFrontDoor:
     """Bad input prints one error line and exits 1, never a traceback."""
@@ -300,8 +350,8 @@ class TestFrontDoor:
         def never(cfg):
             raise AssertionError("the process ran")
 
-        monkeypatch.setattr(cli, "run", never)
-        monkeypatch.setattr(cli, "pm_run", never)
+        monkeypatch.setattr(experiments, "run", never)
+        monkeypatch.setattr(experiments, "pm_run", never)
         path = tmp_path / "missing" / "x"
         code, captured = _run(
             capsys,
@@ -322,10 +372,12 @@ class TestFrontDoor:
             ({"n": []}, "n: [] is not a non-empty list"),
             ({"d": []}, "d: [] is not a non-empty list"),
             ({"seeds": [1, 1]}, "seeds: [1, 1] repeats a seed"),
+            ({"n": [30, 30]}, "n: [30, 30] repeats an n"),
+            ({"d": [2, 2]}, "d: [2, 2] repeats a d"),
         ],
         ids=[
             "n-string", "seeds-scalar", "n-float", "d-bool", "record-every-float",
-            "n-empty", "d-empty", "seeds-repeated",
+            "n-empty", "d-empty", "seeds-repeated", "n-repeated", "d-repeated",
         ],
     )
     def test_spec_bad_value(self, tmp_path, capsys, fields, message):
@@ -333,6 +385,18 @@ class TestFrontDoor:
         code, captured = self._experiment(tmp_path, capsys, json.dumps(spec))
         assert code == 1
         assert captured.err == f"error: experiment spec {message}\n"
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bad_grid_point_fails_before_any_run(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("CORRIDOR_FORGE_THREADS", threads)
+        calls = []
+        monkeypatch.setattr(experiments, "run", calls.append)
+        spec = {"mode": "corridor", "n": [300, 5], "d": [2], "seeds": [1, 2]}
+        code, captured = self._experiment(tmp_path, capsys, json.dumps(spec))
+        assert code == 1
+        assert captured.err == "error: need n >= 10, got n=5\n"
+        assert calls == []
         assert not (tmp_path / "runs").exists()
 
     def test_spec_not_json(self, tmp_path, capsys):
@@ -366,3 +430,27 @@ class TestFrontDoor:
         assert code == 1
         assert "n=30 d=2" in captured.err
         assert "seed 4" in captured.err and "forced failure" in captured.err
+
+
+def _readme_commands() -> list[str]:
+    """The `corridor-forge ...` lines of README's CLI block, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("corridor-forge ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize("command", README_COMMANDS, ids=[c.split()[1] for c in README_COMMANDS])
+def test_readme_cli_command_parses(command):
+    argv = shlex.split(command, comments=True)
+    cli.build_parser().parse_args(argv[1:])
+
+
+def test_readme_lists_every_command():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    listed = {c.split()[1] for c in README_COMMANDS}
+    assert listed == set(sub.choices)

@@ -124,6 +124,13 @@ class TestFormulas:
         with pytest.raises(InvalidParams):
             PM.max_steps(2, 2)
 
+    @pytest.mark.parametrize("spec", [CORRIDOR, PM])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_first_order_steps_is_where_p_reaches_zero(self, spec, d):
+        first_order = spec.first_order_steps(100, d)
+        assert spec.p(100, d, first_order) == pytest.approx(0, abs=1e-12)
+        assert first_order > spec.max_steps(100, d)
+
     def test_summary_exact_bound_is_max_steps(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CORRIDOR_FORGE_THREADS", "1")
         spec = ExperimentSpec.from_dict({"mode": "pm", "n": [20], "d": [2], "seeds": [1]})
