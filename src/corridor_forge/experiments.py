@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -103,23 +103,23 @@ def _int_list(obj: dict, key: str, item: str) -> list[int]:
     return xs
 
 
-def _task(mode: str, cfg: ProcessConfig) -> tuple[int, str]:
-    """(steps, report_json text) of one seeded run of a built config."""
+def _task(mode: str, cfg: ProcessConfig) -> tuple[ProcessConfig, int, str]:
+    """(cfg, steps, report_json text) of one seeded run of a built config."""
     try:
         report = MODES[mode][1](cfg)
     except VerificationError as err:
         point = f"grid point n={cfg.n} d={cfg.d}: seed {cfg.seed}"
         raise VerificationError(f"verification failed in {point}: {err}") from err
-    return report.steps, report_json(report)
+    return cfg, report.steps, report_json(report)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> list[dict]:
-    """Build and validate every grid config, then run them all through one
-    map: a process pool of at most one worker per run, or in this process
-    when one worker is allowed. Writes one canonical JSON report per run
-    (the bytes of ``report_json``) as it arrives, then a summary CSV. Any
-    run failing its verification invariants aborts with the offending grid
-    point and seed in the message."""
+    """Build and validate every grid config, then run them all, in a
+    process pool of at most one worker per run, or in this process when one
+    worker is allowed. Writes one canonical JSON report per run (the bytes
+    of ``report_json``) as soon as the run ends, then a summary CSV in grid
+    order. Any run failing its verification invariants aborts with the
+    offending grid point and seed in the message."""
     config_cls, _ = MODES[spec.mode]
     points = [(n, d) for d in spec.d_list for n in spec.n_list]
     counts = {"record_every": spec.record_every, "track_random": spec.track_random}
@@ -129,33 +129,38 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> list[dict]:
     workers = min(max_workers(), len(configs))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary: list[dict] = []
+    steps: dict[tuple[int, int, int], int] = {}
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         task = partial(_task, spec.mode)
-        results = (pool.map if pool else map)(task, configs)
-        for n, d in points:
-            steps = []
-            for seed in spec.seeds:
-                k, text = next(results)
-                (out / f"{spec.mode}_n{n}_d{d}_seed{seed}.json").write_text(text)
-                steps.append(k)
-            exact = config_cls.spec.max_steps(n, d)
-            mean = sum(steps) / len(steps)
-            summary.append(
-                {
-                    "mode": spec.mode,
-                    "n": n,
-                    "d": d,
-                    "seeds": len(spec.seeds),
-                    "steps_mean": mean,
-                    "steps_min": min(steps),
-                    "steps_max": max(steps),
-                    "first_order": config_cls.spec.first_order_steps(n, d),
-                    "exact_bound": exact,
-                    "ratio": mean / exact,
-                    "all_verified": True,
-                }
-            )
+        jobs = [pool.submit(task, cfg) for cfg in configs] if pool else []
+        try:
+            results = (job.result() for job in as_completed(jobs)) if pool else map(task, configs)
+            for cfg, k, text in results:
+                (out / f"{spec.mode}_n{cfg.n}_d{cfg.d}_seed{cfg.seed}.json").write_text(text)
+                steps[cfg.n, cfg.d, cfg.seed] = k
+        finally:  # a failed run stops the grid: drop the jobs not yet started
+            for job in jobs:
+                job.cancel()
+    summary: list[dict] = []
+    for n, d in points:
+        ks = [steps[n, d, seed] for seed in spec.seeds]
+        exact = config_cls.spec.max_steps(n, d)
+        mean = sum(ks) / len(ks)
+        summary.append(
+            {
+                "mode": spec.mode,
+                "n": n,
+                "d": d,
+                "seeds": len(spec.seeds),
+                "steps_mean": mean,
+                "steps_min": min(ks),
+                "steps_max": max(ks),
+                "first_order": config_cls.spec.first_order_steps(n, d),
+                "exact_bound": exact,
+                "ratio": mean / exact,
+                "all_verified": True,
+            }
+        )
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(summary[0]))
         writer.writeheader()

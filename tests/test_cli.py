@@ -2,7 +2,9 @@ import csv
 import gc
 import json
 import shlex
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -62,6 +64,21 @@ class TestGenerate:
         obj = json.loads(out.read_text())
         assert obj["mode"] == "pm"
         assert obj["pseudomanifold"] is True
+
+    def test_generate_runs_through_cli_run(self, tmp_path, monkeypatch):
+        """perfbench/selftest.py wraps cli.run to tamper with generate output."""
+        def bumped(mode, cfg):
+            report = real(mode, cfg)
+            report.steps += 1
+            return report
+
+        real = cli.run
+        monkeypatch.setattr(cli, "run", bumped)
+        for mode in experiments.MODES:
+            out = tmp_path / f"{mode}.json"
+            assert main([f"generate-{mode}", "--n", "20", "--d", "2", "--seed", "1", "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert report["steps"] == real(mode, experiments.MODES[mode][0](n=20, d=2, seed=1)).steps + 1
 
     @pytest.mark.parametrize("command", ["generate-corridor", "generate-pm"])
     def test_negative_counts_rejected(self, tmp_path, capsys, command):
@@ -190,7 +207,7 @@ class TestExperiment:
     def test_pool_writes_the_serial_bytes(self, tmp_path, monkeypatch, mode):
         started = _count_pools(monkeypatch)
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"mode": mode, "n": [20, 24], "d": [2], "seeds": [1, 2]}))
+        spec.write_text(json.dumps({"mode": mode, "n": [24, 20], "d": [2], "seeds": [1, 2]}))
         outputs = {}
         for threads in ("1", "2"):
             monkeypatch.setenv("CORRIDOR_FORGE_THREADS", threads)
@@ -200,6 +217,39 @@ class TestExperiment:
         assert started == [2]
         assert len(outputs["1"]) == 5 and "summary.csv" in outputs["1"]
         assert outputs["2"] == outputs["1"]
+
+    def test_report_written_when_its_run_ends(self, tmp_path, monkeypatch):
+        """A later grid point's report is on disk while an earlier, slower
+        run is still going (threads stand in for the pool's processes)."""
+        def slow_head(cfg):
+            deadline = time.monotonic() + 10
+            while cfg.n == 24 and not tail.exists():
+                assert time.monotonic() < deadline, "the n=20 report waited for the n=24 run"
+                time.sleep(0.01)
+            return real(cfg)
+
+        real, tail = experiments.run, tmp_path / "corridor_n20_d2_seed1.json"
+        monkeypatch.setattr(experiments, "run", slow_head)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setenv("CORRIDOR_FORGE_THREADS", "2")
+        spec = ExperimentSpec.from_dict({"mode": "corridor", "n": [24, 20], "d": [2], "seeds": [1]})
+        assert [row["n"] for row in run_experiment(spec, tmp_path)] == [24, 20]
+
+    def test_failed_run_cancels_the_jobs_not_started(self, tmp_path, monkeypatch):
+        def first_fails(cfg):
+            ran.append(cfg.n)
+            if cfg.n == 20:
+                raise VerificationError("forced failure")
+            time.sleep(0.5)
+
+        ran = []
+        monkeypatch.setattr(experiments, "run", first_fails)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda workers: ThreadPoolExecutor(1))
+        monkeypatch.setenv("CORRIDOR_FORGE_THREADS", "2")
+        spec = ExperimentSpec.from_dict({"mode": "corridor", "n": [20, 24, 28], "d": [2], "seeds": [1]})
+        with pytest.raises(VerificationError, match="n=20 d=2: seed 1"):
+            run_experiment(spec, tmp_path)
+        assert 28 not in ran
 
     def test_pool_capped_at_job_count(self, tmp_path, monkeypatch):
         started = _count_pools(monkeypatch)
