@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Iterable
 
 from .closure import BitChoices, close_face, scan_available
 from .complexes import Face, SimplicialComplex, k_faces, window_faces
@@ -177,6 +177,13 @@ class ProcessState:
     rng: random.Random
     tracker: TrajectoryTracker | None = None
     first_low_step: int | None = None
+    # the scan of this state, set by _scan: |X_k|, the choices for the
+    # next vertex and the (d-2)-faces tau of the window (a list: tuple()
+    # of an iterator over-allocates, then shrinks, and the shrunk tuples
+    # pile up on CPython's free list for their size, ~0.1 MB a run)
+    available: int = 0
+    choices: BitChoices = BitChoices(0)
+    taus: list[Face] = field(default_factory=list)
 
 
 @dataclass
@@ -234,8 +241,9 @@ def default_tracked_family(config: ProcessConfig) -> list[TrackedComplex]:
 
 
 def init(config: ProcessConfig) -> ProcessState:
-    """Choose the w+1 starting vertices uniformly and close their
-    (d-1)-faces."""
+    """Choose the w+1 starting vertices uniformly, close their C(w+1, d)
+    (d-1)-faces at round 0 (each start vertex against the ones before it)
+    and scan the start."""
     config.validate()
     n, d = config.n, config.d
     rng = random.Random(config.seed)
@@ -245,66 +253,56 @@ def init(config: ProcessConfig) -> ProcessState:
         state.tracker = TrajectoryTracker(
             n, config.spec.period(d), default_tracked_family(config), state.masks
         )
-    for c in combinations(start, d):
-        face = tuple(sorted(c))
-        if state.tracker is not None:
-            state.tracker.note_closure(face, 0)
-        close_face(state.masks, face)
+    for k, v in enumerate(start):
+        _close(state, v, combinations(sorted(start[:k]), d - 1), 0)
+    _scan(state)
     return state
 
 
-def _scan(state: ProcessState) -> tuple[int, BitChoices]:
-    """Returns (|X_k|, choices) from the closure index.
-
-    X_k is the set of vertices outside the window that close no
-    already-closed face; the choices further exclude the images of the
-    previous 2w mapped vertices.
-    """
-    cfg = state.config
-    w = cfg.spec.width(cfg.d)
-    window = tuple(sorted(state.phi[-w:]))
-    return scan_available(
-        n=cfg.n,
-        masks=state.masks,
-        taus=combinations(window, cfg.d - 1),
-        recent=state.phi[-2 * w :],
-    )
-
-
-def candidates(state: ProcessState) -> list[int]:
-    """Vertices eligible for the next step, in increasing order."""
-    return list(_scan(state)[1])
-
-
-def step(state: ProcessState, scan: tuple[int, BitChoices] | None = None) -> bool:
-    """Advance one step, closing C(w, d-1) faces. Returns False when the
-    candidate set is empty. ``scan`` is this state's scan result when the
-    caller already has it; a choice that closes an already-closed face
-    raises VerificationError."""
-    cfg = state.config
-    d = cfg.d
-    w = cfg.spec.width(d)
-    xk, choice = _scan(state) if scan is None else scan
-    if state.first_low_step is None and xk <= 2 * w:
-        state.first_low_step = state.step
-    if not choice:
-        return False
-    v = choice[state.rng.randrange(len(choice))]
-    window = tuple(sorted(state.phi[-w:]))
-    round_no = state.step + 1
-    for tau in combinations(window, d - 1):
+def _close(state: ProcessState, v: int, taus: Iterable[Face], round_no: int):
+    """Close tau + {v} for each tau, noting each face to the tracker first.
+    A face that is already closed raises VerificationError."""
+    for tau in taus:
         face = tuple(sorted(tau + (v,)))
         if state.tracker is not None:
             state.tracker.note_closure(face, round_no)
         close_face(state.masks, face)
+
+
+def _scan(state: ProcessState):
+    """Scan the state once, from the closure index: the window's taus,
+    |X_k| and the choices. X_k is the set of vertices outside the window
+    that close no already-closed face; the choices further exclude the
+    images of the previous 2w mapped vertices."""
+    cfg = state.config
+    w = cfg.spec.width(cfg.d)
+    state.taus = list(combinations(sorted(state.phi[-w:]), cfg.d - 1))
+    state.available, state.choices = scan_available(
+        n=cfg.n, masks=state.masks, taus=state.taus, recent=state.phi[-2 * w :]
+    )
+    if state.first_low_step is None and state.available <= 2 * w:
+        state.first_low_step = state.step
+
+
+def step(state: ProcessState) -> bool:
+    """Advance one step: draw v from the state's choices, close tau + {v}
+    for the state's C(w, d-1) taus, then scan the new state. Returns False
+    when there is no choice."""
+    choices = state.choices
+    if not choices:
+        return False
+    v = choices[state.rng.randrange(len(choices))]
+    _close(state, v, state.taus, state.step + 1)
     state.phi.append(v)
     state.step += 1
+    _scan(state)
     return True
 
 
-def _record(state: ProcessState, terminal_y: int) -> TrajectoryRecord:
-    """The tracked statistics at this step. p > 0 here: within the volume
-    bound, p >= 1 - d! C(n, d) / n^d."""
+def _record(state: ProcessState) -> TrajectoryRecord:
+    """The tracked statistics at this step, with the state's |X_k| as the
+    terminal count. p > 0 here: within the volume bound,
+    p >= 1 - d! C(n, d) / n^d."""
     cfg = state.config
     spec, n, d = cfg.spec, cfg.n, cfg.d
     i = state.step
@@ -321,7 +319,7 @@ def _record(state: ProcessState, terminal_y: int) -> TrajectoryRecord:
             size=tc.size, y=y, w=w, pred=predicted_y(n, p, tc.size), band=band,
             z=z_statistic(w, n, p, tc.size, band, period),
         )
-    return TrajectoryRecord(step=i, t=t, p=p, terminal_y=terminal_y, entries=entries)
+    return TrajectoryRecord(step=i, t=t, p=p, terminal_y=state.available, entries=entries)
 
 
 def simulate(config: ProcessConfig) -> tuple[ProcessState, list[TrajectoryRecord]]:
@@ -330,14 +328,11 @@ def simulate(config: ProcessConfig) -> tuple[ProcessState, list[TrajectoryRecord
     state = init(config)
     records: list[TrajectoryRecord] = []
     stride = config.record_every
-    scan = _scan(state)
-    if stride > 0:
-        records.append(_record(state, scan[0]))
-    while step(state, scan):
-        scan = _scan(state)
+    while True:
         if stride > 0 and state.step % stride == 0:
-            records.append(_record(state, scan[0]))
-    return state, records
+            records.append(_record(state))
+        if not step(state):
+            return state, records
 
 
 def verify_process(state: ProcessState):

@@ -26,6 +26,7 @@ from .pm import PmConfig, hpm_upper, pm_run
 from .serialize import report_json
 
 THREADS_ENV = "CORRIDOR_FORGE_THREADS"
+SPEC_KEYS = ("mode", "n", "d", "seeds", "base_seed", "runs", "record_every", "track_random")
 
 # mode -> (config class, runner). The runners look up `run` and `pm_run` in
 # this module when called, so a wrapper set on either later (a profiler's, a
@@ -61,6 +62,11 @@ class ExperimentSpec:
     def from_dict(cls, obj) -> "ExperimentSpec":
         if not isinstance(obj, dict):
             raise InvalidParams("experiment spec must be a JSON object")
+        unknown = sorted(set(obj).difference(SPEC_KEYS))
+        if unknown:
+            raise InvalidParams(f"experiment spec has unknown key {unknown[0]!r}")
+        if "seeds" in obj and ("base_seed" in obj or "runs" in obj):
+            raise InvalidParams("experiment spec takes seeds or base_seed + runs, not both")
         mode = obj.get("mode")
         if mode not in MODES:
             raise InvalidParams(f"unknown experiment mode {mode!r}")

@@ -204,6 +204,21 @@ class TestExperiment:
         assert (out_dir / "corridor_n20_d2_seed1.json").read_bytes() == single.read_bytes()
 
     @pytest.mark.parametrize("mode", ["corridor", "pm"])
+    def test_base_seed_and_runs_name_the_seeds(self, tmp_path, monkeypatch, mode):
+        monkeypatch.setenv("CORRIDOR_FORGE_THREADS", "1")
+        grid = {"mode": mode, "n": [20], "d": [2]}
+        outputs = []
+        for k, seeds in enumerate([{"base_seed": 3, "runs": 2}, {"seeds": [3, 4]}]):
+            spec, out_dir = tmp_path / f"spec{k}.json", tmp_path / f"runs{k}"
+            spec.write_text(json.dumps({**grid, **seeds}))
+            assert main(["experiment", "--spec", str(spec), "--out-dir", str(out_dir)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+        assert sorted(outputs[0]) == [
+            f"{mode}_n20_d2_seed3.json", f"{mode}_n20_d2_seed4.json", "summary.csv"
+        ]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("mode", ["corridor", "pm"])
     def test_pool_writes_the_serial_bytes(self, tmp_path, monkeypatch, mode):
         started = _count_pools(monkeypatch)
         spec = tmp_path / "spec.json"
@@ -424,10 +439,17 @@ class TestFrontDoor:
             ({"seeds": [1, 1]}, "seeds: [1, 1] repeats a seed"),
             ({"n": [30, 30]}, "n: [30, 30] repeats an n"),
             ({"d": [2, 2]}, "d: [2, 2] repeats a d"),
+            ({"recrod_every": 5}, "has unknown key 'recrod_every'"),
+            ({"steps": 9, "Mode": "pm"}, "has unknown key 'Mode'"),
+            ({"runs": "x", "base_seed": None}, "takes seeds or base_seed + runs, not both"),
+            ({"base_seed": 0}, "takes seeds or base_seed + runs, not both"),
+            ({"runs": 2}, "takes seeds or base_seed + runs, not both"),
         ],
         ids=[
             "n-string", "seeds-scalar", "n-float", "d-bool", "record-every-float",
             "n-empty", "d-empty", "seeds-repeated", "n-repeated", "d-repeated",
+            "unknown-key", "unknown-keys", "seeds-with-bad-runs", "seeds-with-base-seed",
+            "seeds-with-runs",
         ],
     )
     def test_spec_bad_value(self, tmp_path, capsys, fields, message):

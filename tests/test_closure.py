@@ -5,7 +5,11 @@ up every face tau + {v} in the closed faces, rebuilt from the mapped
 vertices without the index (``util.closed_faces``).
 """
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,12 +38,13 @@ def oracle_scan(state):
             count += 1
             if v not in recent:
                 choice.append(v)
-    return count, choice
+    return taus, count, choice
 
 
 def assert_scan_matches(state):
-    count, choices = corridor._scan(state)
-    want_count, want = oracle_scan(state)
+    count, choices = state.available, state.choices
+    taus, want_count, want = oracle_scan(state)
+    assert state.taus == taus
     assert count == want_count
     assert len(choices) == len(want)
     assert list(choices) == want
@@ -90,8 +95,9 @@ def test_step_rejects_a_closed_face(config):
     # phi[0] is outside the window, and with it every face it would close
     # is a d-subset of the start, already closed
     state = init(config)
+    state.choices = [state.phi[0]]
     with pytest.raises(VerificationError, match="closed twice"):
-        step(state, scan=(1, [state.phi[0]]))
+        step(state)
 
 
 def test_verify_process_catches_a_repeat_past_close_face(monkeypatch):
@@ -102,6 +108,26 @@ def test_verify_process_catches_a_repeat_past_close_face(monkeypatch):
 
     monkeypatch.setattr(corridor, "close_face", unchecked_close_face)
     state = init(ProcessConfig(n=30, d=2, seed=2))
-    assert step(state, scan=(1, [state.phi[0]]))
+    state.choices = [state.phi[0]]
+    assert step(state)
     with pytest.raises(VerificationError, match="closure index"):
         verify_process(state)
+
+
+def test_repeated_face_raises_under_python_O():
+    # close_face checks with an if, not an assert, so -O keeps the check;
+    # the script's own assert shows that -O is on
+    script = (
+        "assert False, 'asserts are on'\n"
+        "from corridor_forge.corridor import ProcessConfig, init, step\n"
+        "state = init(ProcessConfig(n=30, d=2, seed=2))\n"
+        "state.choices = [state.phi[0]]\n"
+        "step(state)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert out.stderr.splitlines()[-1].startswith("corridor_forge.errors.VerificationError: face")
+    assert out.stderr.splitlines()[-1].endswith("closed twice")

@@ -21,7 +21,6 @@ from corridor_forge.corridor import (
     ProcessState,
     RunReport,
     assemble,
-    candidates,
     default_tracked_family,
     i_end,
     init,
@@ -85,7 +84,7 @@ class TestInit:
 class TestStep:
     def test_candidates_at_step_zero(self):
         state = init(ProcessConfig(n=30, d=2, seed=3))
-        cand = candidates(state)
+        cand = list(state.choices)
         assert len(cand) == 30 - 3
         assert not set(cand) & set(state.phi)
 

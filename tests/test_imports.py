@@ -1,4 +1,5 @@
-"""Every name a package or test module imports is used in that module.
+"""Every name a package or test module imports is used in that module,
+and every function, class and method the package defines is used.
 
 The package's ``__init__.py`` is exempt: its imports are its re-exports.
 """
@@ -7,14 +8,17 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "corridor_forge"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-MODULES += sorted(TESTS.glob("*.py"))  # ids are file names; none is shared with the package
+PERFBENCH = TESTS.parent / "perfbench"
+PACKAGE_MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# ids are file names; none is shared with the package
+MODULES = PACKAGE_MODULES + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,6 +43,89 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def mentions(tree: ast.AST) -> Counter:
+    """How often each name is named in the tree: as a name, an attribute,
+    an imported name, or a string constant that is an identifier, like the
+    benchmark tracer's targets."""
+    named = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            named[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            named.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                named[node.value] += 1
+    return named
+
+
+def dead_definitions(checked: dict[str, str], exported: set[str], others: list[str]) -> list[str]:
+    """The functions, classes and non-dunder methods defined in the
+    ``checked`` sources (file name -> source) that are not ``exported`` and
+    are named nowhere outside their own definition, in ``checked`` or in
+    ``others``."""
+    trees = {name: ast.parse(source) for name, source in checked.items()}
+    named = Counter()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        named += mentions(tree)
+    dead = []
+    for file_name, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name in exported or (name.startswith("__") and name.endswith("__")):
+                continue
+            if named[name] == mentions(node)[name]:
+                dead.append(f"{file_name}: {name} (line {node.lineno})")
+    return dead
+
+
+def test_detects_dead_definition():
+    checked = {
+        "a.py": (
+            "def used(): pass\n"
+            "def dead(): used()\n"
+            "def recursive(k): return recursive(k - 1)\n"
+            "class Shown:\n"
+            "    def unnamed(self): pass\n"
+            "    def __len__(self): return 0\n"
+            "    def read(self): return self.helper()\n"
+            "    def helper(self): pass\n"
+            "class Self:\n"
+            "    def make(cls): return Self()\n"
+            "def targeted(): pass\n"
+            "def imported(): pass\n"
+            "def exported(): pass\n"
+        ),
+        "b.py": "print(Shown().read)\n",
+    }
+    others = ['from a import imported\nTARGETS = [("a.targeted", None, "targeted")]\n'
+              'counters["a.dead"] += 1\n']
+    assert dead_definitions(checked, {"exported"}, others) == [
+        "a.py: dead (line 2)",
+        "a.py: recursive (line 3)",
+        "a.py: Self (line 9)",
+        "a.py: unnamed (line 5)",
+        "a.py: make (line 10)",
+    ]
+
+
+def test_no_dead_definitions():
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(init) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    checked = {path.name: path.read_text() for path in PACKAGE_MODULES}
+    others = [(PACKAGE / "__init__.py").read_text()]
+    others += [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))]
+    assert dead_definitions(checked, exported, others) == []
 
 
 def test_package_import_loads_no_numpy_or_scipy():

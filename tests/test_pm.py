@@ -7,7 +7,6 @@ from corridor_forge.complexes import boundary_corridor, boundary_corridor_diamet
 from corridor_forge.corridor import (
     CORRIDOR,
     ProcessSpec,
-    candidates,
     default_tracked_family,
     init,
     step,
@@ -49,7 +48,7 @@ class TestInit:
 class TestStep:
     def test_candidates_exclude_window(self):
         state = init(PmConfig(n=40, d=2, seed=3))
-        cand = candidates(state)
+        cand = list(state.choices)
         assert len(cand) == 40 - 4
         assert not set(cand) & set(state.phi)
 
