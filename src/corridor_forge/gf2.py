@@ -1,13 +1,17 @@
 """GF(2) boundary matrices and reduced Betti numbers.
 
-Matrices are stored as one Python int bitmask per row; elimination is
-word-level XOR. A matrix whose rows have at most two set bits each is the
-incidence matrix of a graph and is ranked by union-find instead: the top
-boundary of every pseudomanifold and corridor image is one, since each of
-their (d-1)-faces lies in one or two facets. Homology is reduced:
-dimension 0 is augmented by the empty face, so a single simplex has all
-reduced Betti numbers zero. Each complex computes its face counts and
-boundary ranks once; every Betti number is read from that record.
+A ``Gf2Matrix`` holds one Python int bitmask per row; ``rank_gf2``
+eliminates by word-level XOR, or ranks a matrix whose rows have at most
+two set bits each, the incidence matrix of a graph, by a union-find
+spanning forest. Homology ranks ∂_1, always graphic (the 1-skeleton),
+and the top boundary ∂_d of every pseudomanifold and corridor image, whose
+ridges lie in one or two facets, by union-find over index pairs, with no
+bit rows. Their spanning forests cut the boundaries in between down to
+cotree rows (∂_2) and non-forest columns (∂_{d-1}) before those are built
+as bit rows for rank_gf2; at d = 2 nothing is left in between. Homology is reduced: dimension 0 is augmented by the
+empty face, so a single simplex has all reduced Betti numbers zero. Each
+complex computes its face counts and boundary ranks once; every Betti
+number is read from that record.
 """
 
 from __future__ import annotations
@@ -35,16 +39,22 @@ def rank_gf2(m: Gf2Matrix) -> int:
     When every row has at most two set bits the matrix is the incidence
     matrix of a graph: columns are nodes, a two-bit row is an edge and a
     one-bit row an edge to an extra ground node. Its rank is then the edge
-    count of a spanning forest, found by union-find in near-linear time.
-    The top boundary ∂_d of a pseudomanifold (each (d-1)-face in exactly
-    two facets) and of a corridor image (in one or two) is such a matrix.
+    count of a spanning forest. The ground node sits above the highest set
+    bit, not at ``cols``: nothing keeps the bits below ``cols``.
 
     Any other matrix is reduced row by row against a table of pivot rows
     keyed by their lowest set bit until the row vanishes or opens a new
     pivot. XOR with the pivot sharing the row's lowest bit clears that bit
     and touches only higher ones, so the pivots stay independent."""
     if all(row.bit_count() <= 2 for row in m.bits):
-        return _forest_rank(m.bits)
+        ground = max(map(int.bit_length, m.bits), default=0)
+        edges = []
+        for row in m.bits:
+            if row:
+                low = row & -row
+                high = row ^ low
+                edges.append((low.bit_length() - 1, high.bit_length() - 1 if high else ground))
+        return sum(_spanning_forest(ground + 1, edges))
     pivots: dict[int, int] = {}
     for row in m.bits:
         while row:
@@ -57,35 +67,32 @@ def rank_gf2(m: Gf2Matrix) -> int:
     return len(pivots)
 
 
-def _forest_rank(bits: list[int]) -> int:
-    """Spanning-forest edge count of the graph whose edges are the rows,
-    each of at most two set bits. The ground node sits above the highest
-    set bit, not at ``cols``: nothing keeps the bits below ``cols``."""
-    ground = max(map(int.bit_length, bits), default=0)
-    parent = list(range(ground + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    rank = 0
-    for row in bits:
-        if not row:
-            continue
-        low = row & -row
-        high = row ^ low
-        a = find(low.bit_length() - 1)
-        b = find(high.bit_length() - 1 if high else ground)
-        if a != b:
-            parent[a] = b
-            rank += 1
-    return rank
+def _spanning_forest(nodes: int, edges) -> list[bool]:
+    """For each edge (a, b) of a graph on nodes 0..nodes-1, in order,
+    whether it joins two trees of the spanning forest grown so far
+    (union-find with path halving). The edges that do form a spanning
+    forest, and their count is the GF(2) rank of the incidence matrix."""
+    parent = list(range(nodes))
+    joins = []
+    for a, b in edges:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        joins.append(a != b)
+        parent[a] = b
+    return joins
 
 
-def _boundary(faces_k: list[Face], faces_low: list[Face], k: int) -> Gf2Matrix:
-    """Boundary matrix from sorted face lists: column per k-face, row per
-    (k-1)-face; faces_low = [()] gives the augmentation row at k = 0."""
+def boundary_matrix(X: SimplicialComplex, k: int) -> Gf2Matrix:
+    """The k-th boundary matrix: column per k-face, row per (k-1)-face,
+    both in sorted order.
+
+    At k = 0 this is the augmentation map to the empty face (a single
+    all-ones row over the vertices).
+    """
+    faces_low = sorted(k_faces(X, k - 1)) if k else [()]
+    faces_k = sorted(k_faces(X, k))
     row_of = {f: i for i, f in enumerate(faces_low)}
     bits = [0] * len(faces_low)
     for j, f in enumerate(faces_k):
@@ -94,27 +101,85 @@ def _boundary(faces_k: list[Face], faces_low: list[Face], k: int) -> Gf2Matrix:
     return Gf2Matrix(rows=len(faces_low), cols=len(faces_k), bits=bits)
 
 
-def boundary_matrix(X: SimplicialComplex, k: int) -> Gf2Matrix:
-    """The k-th boundary matrix: column per k-face, row per (k-1)-face.
+def _restricted_rank(columns, rows, k: int) -> int:
+    """Rank of ∂_k cut down to the given k-faces (columns) and (k-1)-faces
+    (rows): one bitmask per row, over the columns' indices."""
+    index = {f: i for i, f in enumerate(rows)}
+    bits = [0] * len(rows)
+    for j, f in enumerate(columns):
+        for sub in combinations(f, k):
+            i = index.get(sub)
+            if i is not None:
+                bits[i] |= 1 << j
+    return rank_gf2(Gf2Matrix(rows=len(rows), cols=len(columns), bits=bits))
 
-    At k = 0 this is the augmentation map to the empty face (a single
-    all-ones row over the vertices).
-    """
-    faces_low = sorted(k_faces(X, k - 1)) if k else [()]
-    return _boundary(sorted(k_faces(X, k)), faces_low, k)
+
+def _counts_and_ranks(X: SimplicialComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Face counts f_0..f_d and ranks of ∂_0..∂_{d+1} of X, d = dim X.
+
+    ∂_d: one pass over the d-faces maps each (d-1)-face (ridge) to the
+    d-faces that hold it. If none has three, ∂_d is the incidence matrix of
+    a graph on the d-faces and a ground node (a ridge in two d-faces joins
+    them, a ridge in one joins it to the ground), ranked by a spanning
+    forest. ∂_1 always is one: the 1-skeleton, over the vertices.
+
+    The boundaries in between go to rank_gf2 cut down, each cut keeping the
+    rank. ∂_2 keeps only the rows of cotree edges, those outside the
+    1-skeleton's spanning forest: a tree edge splits its tree into sides S
+    and S', and as ∂_1∂_2 = 0 the rows of the edges between S and S', the
+    tree edge and cotree edges, sum to zero. ∂_{d-1} keeps only the columns
+    of ridges outside the forest of ∂_d: for a forest ridge, ∂_d of the
+    d-faces on the side of its cut away from the ground is that ridge plus
+    ridges outside the forest, and ∂_{d-1}∂_d = 0. ∂_k for 3 <= k <= d-2
+    is ranked whole, and so is ∂_d (on the cotree rows at d = 2) when a
+    ridge lies in three d-faces."""
+    d = X.dim
+    vertices = set().union(*X.facets)
+    ranks = [1] + [0] * (d + 1)  # ∂_0, the augmentation, has rank 1
+    if d == 0:
+        return (len(vertices),), tuple(ranks)
+    top = [f for f in X.facets if len(f) == d + 1]
+    faces = {d: top, d - 1: [f for f in X.facets if len(f) == d]}  # the ridges in no d-face
+    columns: dict[int, list[Face]] = {}  # ∂_k's columns where a forest cuts them
+    graphic = d == 1  # then ∂_d is ∂_1
+    if d >= 2:
+        first: dict[Face, int] = {}
+        second: dict[Face, int] = {}
+        for j, f in enumerate(top):
+            for r in combinations(f, d):
+                if first.setdefault(r, j) != j:
+                    second[r] = j
+        # a third holder overwrites a second, so the two maps keep all
+        # (d+1)|top| incidences only if no ridge lies in three d-faces
+        graphic = len(first) + len(second) == (d + 1) * len(top)
+        if graphic:
+            forest = _spanning_forest(
+                len(top) + 1, [(i, second.get(r, len(top))) for r, i in first.items()]
+            )
+            ranks[d] = sum(forest)
+            columns[d - 1] = faces[d - 1] + [r for r, tree in zip(first, forest) if not tree]
+        faces[d - 1] += first
+        for k in range(1, d - 1):
+            faces[k] = k_faces(X, k)
+    edges = faces[1]
+    joins = _spanning_forest(max(vertices) + 1, edges)
+    ranks[1] = sum(joins)
+    cotree = [e for e, tree in zip(edges, joins) if not tree]
+    for k in range(2, d if graphic else d + 1):
+        rows = cotree if k == 2 else faces[k - 1]
+        ranks[k] = _restricted_rank(columns.get(k, faces[k]), rows, k)
+    return (len(vertices), *(len(faces[k]) for k in range(1, d + 1))), tuple(ranks)
 
 
 def _homology(X: SimplicialComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Face counts f_0..f_dim and ranks of ∂_0..∂_{dim+1} (the last is 0:
-    no (dim+1)-faces), listing each face set and building and ranking each
-    boundary matrix once. The record is kept in the instance's __dict__,
-    as functools.cached_property keeps its values, so it lives and dies
-    with X and no two complexes share one."""
+    no (dim+1)-faces), computed once per complex by _counts_and_ranks.
+    The record is kept in the instance's __dict__, as
+    functools.cached_property keeps its values, so it lives and dies with
+    X and no two complexes share one."""
     record = vars(X).get("_gf2_homology")
     if record is None:
-        faces = [[()]] + [sorted(k_faces(X, k)) for k in range(X.dim + 1)]
-        ranks = [rank_gf2(_boundary(faces[k + 1], faces[k], k)) for k in range(X.dim + 1)]
-        record = vars(X)["_gf2_homology"] = (tuple(map(len, faces[1:])), (*ranks, 0))
+        record = vars(X)["_gf2_homology"] = _counts_and_ranks(X)
     return record
 
 

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from functools import cache
 from itertools import combinations
 
+import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corridor_forge import gf2
@@ -74,6 +76,48 @@ def graphic_matrices(draw):
 
 
 @st.composite
+def dense_complexes(draw, min_dim=1):
+    """Many facets: a random subset of the k-faces of the simplex on [m]
+    plus a few lower faces, so that ridges lie in three or more facets (∂_k
+    is not graphic) and some complexes are not pure."""
+    k = draw(st.integers(min_dim, 4))
+    m = draw(st.integers(k + 2, 8))
+    faces = list(combinations(range(1, m + 1), k + 1))
+    keep = draw(st.lists(st.booleans(), min_size=len(faces), max_size=len(faces)))
+    top = [f for f, kept in zip(faces, keep) if kept] or faces[:1]
+    # two vertices past m keep some lower faces out of every k-face
+    lower = draw(st.lists(st.sets(st.integers(1, m + 2), min_size=1, max_size=k), max_size=3))
+    return complex_from_facets(top + [sorted(f) for f in lower])
+
+
+@st.composite
+def graphic_complexes(draw):
+    """Complexes whose top boundary is graphic: d-faces of the simplex on
+    [m] taken in a random order, each kept only if none of its ridges
+    already lies in two kept ones, plus a few lower faces."""
+    m = draw(st.integers(4, 8))
+    d = draw(st.integers(2, min(4, m - 2)))
+    holders = Counter()
+    top = []
+    for f in draw(st.permutations(list(combinations(range(1, m + 1), d + 1)))):
+        ridges = list(combinations(f, d))
+        if all(holders[r] < 2 for r in ridges) and draw(st.booleans()):
+            holders.update(ridges)
+            top.append(f)
+    lower = draw(st.lists(st.sets(st.integers(1, m + 2), min_size=1, max_size=d), max_size=3))
+    return complex_from_facets((top or [tuple(range(1, d + 2))]) + [sorted(f) for f in lower])
+
+
+def forest_keys(edges) -> set:
+    """The keys of a spanning forest's edges, by networkx, of the
+    multigraph with edges (a, b, key): a d-face may meet the ground node
+    by several ridges."""
+    G = nx.MultiGraph()
+    G.add_edges_from(edges)
+    return {key for _, _, key in nx.minimum_spanning_edges(G, keys=True, data=False)}
+
+
+@st.composite
 def random_complexes(draw):
     facet = st.sets(st.integers(1, 9), min_size=1, max_size=5)
     facets = draw(st.lists(facet, min_size=1, max_size=12))
@@ -111,8 +155,10 @@ class TestRank:
 
     def test_path_choice(self, monkeypatch):
         calls = []
-        forest = gf2._forest_rank
-        monkeypatch.setattr(gf2, "_forest_rank", lambda bits: calls.append(bits) or forest(bits))
+        forest = gf2._spanning_forest
+        monkeypatch.setattr(
+            gf2, "_spanning_forest", lambda nodes, edges: calls.append(edges) or forest(nodes, edges)
+        )
         assert rank_gf2(Gf2Matrix(rows=3, cols=4, bits=[0b11, 0b110, 0b1])) == 3
         assert len(calls) == 1
         assert rank_gf2(Gf2Matrix(rows=3, cols=4, bits=[0b11, 0b1110, 0b1])) == 3
@@ -231,7 +277,10 @@ class TestReducedBetti:
             assert betti_numbers(X) == want
 
 
-IMAGES = [("corridor", 30, 2), ("pm", 30, 2), ("corridor", 20, 3), ("pm", 20, 3)]
+# boundary_corridor(4, 9) has ∂_2 with all its columns and ∂_3 with all
+# its rows; boundary_corridor(5, 10) has ∂_3 whole
+IMAGES = [("corridor", 30, 2), ("pm", 30, 2), ("corridor", 20, 3), ("pm", 20, 3),
+          ("boundary", 9, 4), ("boundary", 10, 5)]
 
 
 @cache
@@ -240,9 +289,17 @@ def image_oracle(kind, n, d):
     k = 0..d+2, computed once per image."""
     if kind == "corridor":
         X = run(ProcessConfig(n=n, d=d, seed=1)).image
-    else:
+    elif kind == "pm":
         X = pm_run(PmConfig(n=n, d=d, seed=1)).image
+    else:
+        X = boundary_corridor(d, n)
     return X.n, X.facets, [oracle_betti(X, k) for k in range(d + 3)]
+
+
+@st.composite
+def images(draw):
+    n, facets, _ = image_oracle(*draw(st.sampled_from(IMAGES)))
+    return SimplicialComplex(n=n, facets=facets)
 
 
 @st.composite
@@ -250,16 +307,19 @@ def complexes_with_oracle(draw):
     """A complex without a homology record yet, and its oracle Betti
     numbers for k = 0..dim+2."""
     image = draw(st.one_of(st.none(), st.sampled_from(IMAGES)))
-    if image is None:
-        rng = random.Random(draw(st.integers(0, 2**32)))
-        X = random_small_complex(rng, draw(st.integers(1, 5)), draw(st.integers(6, 12)))
-        return X, [oracle_betti(X, k) for k in range(X.dim + 3)]
-    n, facets, want = image_oracle(*image)
-    return SimplicialComplex(n=n, facets=facets), want
+    if image is not None:
+        n, facets, want = image_oracle(*image)
+        return SimplicialComplex(n=n, facets=facets), want
+    X = draw(st.one_of(
+        st.builds(random_small_complex, st.integers(0, 2**32).map(random.Random),
+                  st.integers(1, 5), st.integers(6, 12)),
+        dense_complexes(),
+    ))
+    return X, [oracle_betti(X, k) for k in range(X.dim + 3)]
 
 
 class TestHomologyRecord:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(complexes_with_oracle(), st.randoms(use_true_random=False))
     def test_any_order_matches_oracle(self, case, rng):
         X, want = case
@@ -270,18 +330,57 @@ class TestHomologyRecord:
 
     def test_builds_each_boundary_once(self, monkeypatch):
         image = pm_run(PmConfig(n=30, d=3, seed=1)).image
-        built, listed = [], []
-        boundary, faces = gf2._boundary, gf2.k_faces
-        monkeypatch.setattr(gf2, "_boundary", lambda *a: built.append(a[2]) or boundary(*a))
+        forests, built, listed, enumerated = [], [], [], Counter()
+        forest, rank, faces, subsets = (
+            gf2._spanning_forest, gf2.rank_gf2, gf2.k_faces, gf2.combinations)
+        monkeypatch.setattr(
+            gf2, "_spanning_forest", lambda nodes, edges: forests.append(nodes) or forest(nodes, edges)
+        )
+        monkeypatch.setattr(gf2, "rank_gf2", lambda m: built.append((m.rows, m.cols)) or rank(m))
         # gf2 calls complexes.k_faces through its own module binding
         monkeypatch.setattr(gf2, "k_faces", lambda X, k: listed.append(k) or faces(X, k))
+        monkeypatch.setattr(
+            gf2, "combinations", lambda f, k: enumerated.update([(len(f), k)]) or subsets(f, k)
+        )
         per_k = [reduced_betti(image, k) for k in range(image.dim + 2)]
         assert betti_numbers(image) == per_k[:-1]
-        assert sorted(built) == sorted(listed) == list(range(image.dim + 1))
+        (_, f1, f2, f3), ranks = gf2._homology(image)
+        # ∂_3 and ∂_1 by union-find; the edges listed once, each
+        # tetrahedron's triangles once; ∂_2 built once, on the cotree edges
+        # and the triangles outside the forest of ∂_3
+        once = {"forests": [f3 + 1, image.n + 1], "built": [(f1 - ranks[1], f2 - ranks[3])],
+                "listed": [1], "enumerated": {(4, 3): f3, (3, 2): f2 - ranks[3]}}
+        logs = {"forests": forests, "built": built, "listed": listed, "enumerated": enumerated}
+        assert logs == once
         # the record belongs to the instance, not to its facets
+        for log in logs.values():
+            log.clear()
         twin = SimplicialComplex(n=image.n, facets=image.facets)
         assert betti_numbers(twin) == per_k[:-1]
-        assert sorted(built) == sorted(listed) == sorted(2 * list(range(image.dim + 1)))
+        assert logs == once
+
+    @pytest.mark.parametrize("X,forests,built", [
+        # ∂_2 graphic: nothing is left for rank_gf2
+        (boundary_corridor(2, 8), 2, 0),
+        # an edge in three triangles: ∂_2 on the cotree rows
+        (complex_from_facets([[1, 2, 3], [1, 2, 4], [1, 2, 5]]), 1, 1),
+        # a triangle in three tetrahedra: ∂_2 on the cotree rows, ∂_3 whole
+        (complex_from_facets([[1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 3, 6]]), 1, 2),
+        # ∂_2 on the cotree rows, ∂_3 on the columns outside the forest
+        (boundary_corridor(4, 9), 2, 2),
+        # and ∂_3 whole in between
+        (boundary_corridor(5, 10), 2, 3),
+    ])
+    def test_path_choice(self, monkeypatch, X, forests, built):
+        calls = Counter()
+        forest = gf2._spanning_forest
+        monkeypatch.setattr(
+            gf2, "_spanning_forest", lambda *a: calls.update(["forest"]) or forest(*a)
+        )
+        # the oracle, so that rank_gf2's own union-find is not counted
+        monkeypatch.setattr(gf2, "rank_gf2", lambda m: calls.update(["rank"]) or oracle_rank(m))
+        assert betti_numbers(X) == [oracle_betti(X, k) for k in range(X.dim + 1)]
+        assert (calls["forest"], calls["rank"]) == (forests, built)
 
     def test_list_facets(self):
         # an unhashable complex still gets its record
@@ -352,3 +451,47 @@ class TestBoundaryOfIndicator:
         for f in removed:
             removed_edges.update(k_faces(complex_from_facets([f]), 1))
         assert chain <= removed_edges
+
+
+class TestRestriction:
+    """The cuts _counts_and_ranks makes keep the rank of the boundary:
+    the rows of cotree edges of ∂_2, and the columns of ∂_{d-1} outside a
+    spanning forest of a graphic ∂_d. The forests come from networkx."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(dense_complexes(min_dim=2), images()))
+    def test_cotree_rows_of_d2(self, X):
+        edges = sorted(k_faces(X, 1))
+        tree = forest_keys((a, b, i) for i, (a, b) in enumerate(edges))
+        full = boundary_matrix(X, 2)  # rows in the order of edges
+        cut = Gf2Matrix(rows=len(edges) - len(tree), cols=full.cols,
+                        bits=[row for i, row in enumerate(full.bits) if i not in tree])
+        cotree = [e for i, e in enumerate(edges) if i not in tree]
+        want = oracle_rank(full)
+        assert oracle_rank(cut) == want
+        assert gf2._restricted_rank(k_faces(X, 2), cotree, 2) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(graphic_complexes(), images()))
+    def test_non_forest_columns_of_top_minus_one(self, X):
+        d = X.dim
+        holders = {}
+        for f in k_faces(X, d):
+            for r in combinations(f, d):
+                holders.setdefault(r, []).append(f)
+        assume(all(len(h) <= 2 for h in holders.values()))
+        forest = forest_keys((h[0], h[-1] if len(h) == 2 else "ground", r) for r, h in holders.items())
+        ridges = sorted(k_faces(X, d - 1))  # columns of ∂_{d-1}
+        kept = [r for r in ridges if r not in forest]
+        mask = sum(1 << j for j, r in enumerate(ridges) if r not in forest)
+        full = boundary_matrix(X, d - 1)
+        cut = Gf2Matrix(rows=full.rows, cols=full.cols, bits=[row & mask for row in full.bits])
+        want = oracle_rank(full)
+        assert oracle_rank(cut) == want
+        assert gf2._restricted_rank(kept, k_faces(X, d - 2), d - 1) == want
+        if d == 3:
+            # both cuts at once, as ∂_2 is ranked at d = 3
+            edges = sorted(k_faces(X, 1))
+            tree = forest_keys((a, b, i) for i, (a, b) in enumerate(edges))
+            cotree = [e for i, e in enumerate(edges) if i not in tree]
+            assert gf2._restricted_rank(kept, cotree, 2) == want
