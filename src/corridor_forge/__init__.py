@@ -6,12 +6,10 @@ from .complexes import (
     boundary_corridor,
     boundary_corridor_diameter,
     complex_from_facets,
-    corridor_face_count,
     f_vector,
     is_pseudomanifold,
     k_faces,
     make_face,
-    straight_corridor,
 )
 from .corridor import CORRIDOR, ProcessConfig, RunReport, i_end, run
 from .dual import (
@@ -20,7 +18,6 @@ from .dual import (
     caccetta_smyth_bound,
     diameter,
     is_induced_path,
-    is_strongly_connected,
     johnson_graph,
     longest_induced_path_bruteforce,
     vertex_connectivity,
@@ -28,11 +25,8 @@ from .dual import (
 from .gf2 import (
     betti_numbers,
     boundary_matrix,
-    boundary_of_indicator,
-    check_small_facet_lemma,
     rank_gf2,
     reduced_betti,
-    tightness_example,
 )
 from .pm import (
     PM,

@@ -53,13 +53,6 @@ class BitChoices:
                 hi = mid
         return lo
 
-    def __iter__(self):
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
-
 
 def scan_available(
     *,

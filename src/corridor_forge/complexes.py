@@ -1,4 +1,4 @@
-"""Faces, simplicial complexes, straight corridors and their boundaries.
+"""Faces, simplicial complexes, corridor windows and boundary corridors.
 
 Vertex ids are 1-based positive integers. A face is a strictly increasing
 tuple of vertex ids; a complex stores its maximal faces (facets) only and
@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 from .errors import DegenerateFace, InvalidParams
 
@@ -98,19 +97,6 @@ def f_vector(X: SimplicialComplex) -> list[int]:
     return [len(k_faces(X, k)) for k in range(X.dim + 1)]
 
 
-def straight_corridor(d: int, N: int) -> SimplicialComplex:
-    """The d-dimensional straight corridor on [N].
-
-    Facets are the N - d windows of d + 1 consecutive integers.
-    """
-    if d < 1:
-        raise InvalidParams("dimension must be at least 1")
-    if N < d + 1:
-        raise InvalidParams(f"need N >= d + 1, got N={N}, d={d}")
-    facets = [tuple(range(k, k + d + 1)) for k in range(1, N - d + 1)]
-    return SimplicialComplex(n=N, facets=frozenset(facets))
-
-
 def window_faces(seq, w: int, d: int):
     """Yield, sorted, the d-faces of SC_w laid along seq (windows: runs of w+1
     entries) in exactly one window: a subset of a window is also in the next
@@ -159,15 +145,6 @@ def boundary_corridor_diameter(d: int, N: int) -> int:
     if d < 1 or N < d + 2:
         raise InvalidParams(f"need N >= d + 2 and d >= 1, got N={N}, d={d}")
     return d * N // (d + 1) - d + 1
-
-
-def corridor_face_count(D: int, N: int, k: int) -> int:
-    """Number of codimension-k faces of SC_D(N), in closed form."""
-    if N < D + 1:
-        raise InvalidParams(f"need N >= D + 1, got N={N}, D={D}")
-    if not 1 <= k <= D + 1:
-        raise InvalidParams(f"codimension k={k} out of range 1..{D + 1}")
-    return comb(D, D - k + 1) + (N - D) * comb(D, k)
 
 
 def is_pseudomanifold(X: SimplicialComplex, d: int) -> bool:

@@ -78,14 +78,6 @@ def is_connected(g: DualGraph) -> bool:
     return g.num_nodes <= 1 or all(x >= 0 for x in _bfs_distances(g, 0))
 
 
-def is_strongly_connected(X: SimplicialComplex, d: int) -> bool:
-    """Whether the dual graph on the d-faces of X is connected."""
-    try:
-        return is_connected(build_dual(X, d))
-    except EmptyDual:
-        return False
-
-
 def diameter(g: DualGraph) -> int:
     """Exact graph diameter by iFUB (Crescenzi, Grossi, Habib, Lanzi,
     Marino, TCS 2013).

@@ -29,10 +29,6 @@ class OutOfRegime(CorridorForgeError):
     """Trajectory formula evaluated outside its valid time range (p <= 0)."""
 
 
-class InvalidFace(CorridorForgeError):
-    """A face was referenced that does not belong to the complex."""
-
-
 class InvalidTrackedComplex(CorridorForgeError):
     """A tracked subcomplex violates the size bounds of the tracked family."""
 

@@ -1,14 +1,13 @@
 """GF(2) boundary matrices and reduced Betti numbers.
 
 A ``Gf2Matrix`` holds one Python int bitmask per row; ``rank_gf2``
-eliminates by word-level XOR, or ranks a matrix whose rows have at most
-two set bits each, the incidence matrix of a graph, by a union-find
-spanning forest. Homology ranks ∂_1, always graphic (the 1-skeleton),
-and the top boundary ∂_d of every pseudomanifold and corridor image, whose
-ridges lie in one or two facets, by union-find over index pairs, with no
-bit rows. Their spanning forests cut the boundaries in between down to
-cotree rows (∂_2) and non-forest columns (∂_{d-1}) before those are built
-as bit rows for rank_gf2; at d = 2 nothing is left in between. Homology is reduced: dimension 0 is augmented by the
+eliminates by word-level XOR. Homology ranks ∂_1, always graphic (the
+1-skeleton), and the top boundary ∂_d of every pseudomanifold and
+corridor image, whose ridges lie in one or two facets, by union-find over
+index pairs, with no bit rows. Their spanning forests cut the boundaries
+in between down to cotree rows (∂_2) and non-forest columns (∂_{d-1})
+before those are built as bit rows for rank_gf2; at d = 2 nothing is left
+in between. Homology is reduced: dimension 0 is augmented by the
 empty face, so a single simplex has all reduced Betti numbers zero. Each
 complex computes its face counts and boundary ranks once; every Betti
 number is read from that record.
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import Face, SimplicialComplex, k_faces
-from .errors import InvalidFace, InvalidParams
+from .errors import InvalidParams
 
 
 @dataclass
@@ -34,27 +33,10 @@ class Gf2Matrix:
 
 
 def rank_gf2(m: Gf2Matrix) -> int:
-    """Rank over GF(2).
-
-    When every row has at most two set bits the matrix is the incidence
-    matrix of a graph: columns are nodes, a two-bit row is an edge and a
-    one-bit row an edge to an extra ground node. Its rank is then the edge
-    count of a spanning forest. The ground node sits above the highest set
-    bit, not at ``cols``: nothing keeps the bits below ``cols``.
-
-    Any other matrix is reduced row by row against a table of pivot rows
+    """Rank over GF(2): each row is reduced against a table of pivot rows
     keyed by their lowest set bit until the row vanishes or opens a new
     pivot. XOR with the pivot sharing the row's lowest bit clears that bit
     and touches only higher ones, so the pivots stay independent."""
-    if all(row.bit_count() <= 2 for row in m.bits):
-        ground = max(map(int.bit_length, m.bits), default=0)
-        edges = []
-        for row in m.bits:
-            if row:
-                low = row & -row
-                high = row ^ low
-                edges.append((low.bit_length() - 1, high.bit_length() - 1 if high else ground))
-        return sum(_spanning_forest(ground + 1, edges))
     pivots: dict[int, int] = {}
     for row in m.bits:
         while row:
@@ -199,50 +181,3 @@ def betti_numbers(X: SimplicialComplex) -> list[int]:
     and ranked once per complex, whichever entry point asks first."""
     counts, ranks = _homology(X)
     return [counts[k] - ranks[k] - ranks[k + 1] for k in range(len(counts))]
-
-
-@dataclass(frozen=True)
-class LemmaCheck:
-    applicable: bool
-    holds: bool
-
-
-def check_small_facet_lemma(X: SimplicialComplex, d: int) -> LemmaCheck:
-    """Few-facet homology vanishing: a complex of dimension at most d with
-    at most d facets has trivial reduced homology in dimension d - 1.
-
-    Returns holds=True vacuously (applicable=False) when the hypothesis
-    fails.
-    """
-    if X.dim > d or len(X.facets) > d:
-        return LemmaCheck(applicable=False, holds=True)
-    return LemmaCheck(applicable=True, holds=reduced_betti(X, d - 1) == 0)
-
-
-def tightness_example(d: int) -> SimplicialComplex:
-    """A complex with d + 1 facets and nonzero reduced homology in
-    dimension d - 1: each (d-1)-face of the central simplex boundary on
-    [d+1] is coned to its own fresh apex."""
-    if d < 2:
-        raise InvalidParams("need d >= 2")
-    center = tuple(range(1, d + 2))
-    facets = []
-    for apex, base in enumerate(combinations(center, d), start=d + 2):
-        facets.append(tuple(sorted(base + (apex,))))
-    return SimplicialComplex(n=2 * d + 2, facets=frozenset(facets))
-
-
-def boundary_of_indicator(
-    X: SimplicialComplex, d: int, selected
-) -> frozenset[Face]:
-    """GF(2) boundary of the indicator chain of a set of d-faces: the
-    (d-1)-faces hit an odd number of times."""
-    all_d = k_faces(X, d)
-    chain: set[Face] = set()
-    for f in selected:
-        face = tuple(sorted(f))
-        if face not in all_d:
-            raise InvalidFace(f"{face} is not a {d}-face of the complex")
-        for sub in combinations(face, d):
-            chain.symmetric_difference_update({sub})
-    return frozenset(chain)

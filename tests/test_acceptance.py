@@ -7,13 +7,7 @@ log shows every criterion verdict.
 import time
 from contextlib import contextmanager
 
-from corridor_forge.complexes import (
-    boundary_corridor,
-    corridor_face_count,
-    f_vector,
-    k_faces,
-    straight_corridor,
-)
+from corridor_forge.complexes import boundary_corridor, f_vector, k_faces
 from corridor_forge.corridor import CORRIDOR, ProcessConfig, run
 from corridor_forge.dual import (
     build_dual,
@@ -23,10 +17,16 @@ from corridor_forge.dual import (
     vertex_connectivity,
 )
 from corridor_forge.experiments import johnson_oracle
-from corridor_forge.gf2 import reduced_betti, tightness_example
+from corridor_forge.gf2 import reduced_betti
 from corridor_forge.pm import PmConfig, pm_diameter_lower, pm_run
 from corridor_forge.serialize import report_json
-from util import boundary_squares_to_zero, random_small_complex
+from util import (
+    boundary_squares_to_zero,
+    corridor_face_count,
+    random_small_complex,
+    straight_corridor,
+    tightness_example,
+)
 import random
 
 # frozen regression values

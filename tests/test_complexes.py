@@ -5,15 +5,18 @@ from hypothesis import strategies as st
 from corridor_forge.complexes import (
     boundary_corridor,
     complex_from_facets,
-    corridor_face_count,
     f_vector,
     is_pseudomanifold,
     k_faces,
     make_face,
-    straight_corridor,
 )
 from corridor_forge.errors import DegenerateFace, InvalidParams
-from util import boundary_complex_of_simplex, oracle_maximal_facets
+from util import (
+    boundary_complex_of_simplex,
+    corridor_face_count,
+    oracle_maximal_facets,
+    straight_corridor,
+)
 
 
 class TestMakeFace:

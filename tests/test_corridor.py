@@ -11,7 +11,6 @@ from corridor_forge.complexes import (
     SimplicialComplex,
     is_pseudomanifold,
     k_faces,
-    straight_corridor,
     window_faces,
 )
 from corridor_forge.corridor import (
@@ -39,7 +38,7 @@ from corridor_forge.errors import (
 from corridor_forge.pm import PM, PmConfig, pm_run
 from corridor_forge.serialize import report_json
 from corridor_forge.trajectory import TrajectoryTracker, band_halfwidth, predicted_y
-from util import closed_faces, oracle_snapshot, oracle_window_faces
+from util import closed_faces, oracle_snapshot, oracle_window_faces, straight_corridor
 
 
 class TestInit:

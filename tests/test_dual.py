@@ -16,7 +16,6 @@ from corridor_forge.complexes import (
     boundary_corridor,
     boundary_corridor_diameter,
     complex_from_facets,
-    straight_corridor,
 )
 from corridor_forge.dual import (
     DualGraph,
@@ -25,7 +24,6 @@ from corridor_forge.dual import (
     caccetta_smyth_bound,
     diameter,
     is_induced_path,
-    is_strongly_connected,
     johnson_graph,
     longest_induced_path_bruteforce,
     vertex_connectivity,
@@ -37,7 +35,7 @@ from corridor_forge.errors import (
     RefusedSize,
 )
 from corridor_forge.pm import PmConfig, pm_diameter_lower, pm_run
-from util import boundary_complex_of_simplex
+from util import boundary_complex_of_simplex, is_strongly_connected, straight_corridor
 
 
 def path_graph(k):

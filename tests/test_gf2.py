@@ -17,25 +17,25 @@ from corridor_forge.complexes import (
     k_faces,
 )
 from corridor_forge.corridor import ProcessConfig, run
-from corridor_forge.errors import InvalidFace, InvalidParams
+from corridor_forge.errors import InvalidParams
 from corridor_forge.gf2 import (
     Gf2Matrix,
     betti_numbers,
     boundary_matrix,
-    boundary_of_indicator,
-    check_small_facet_lemma,
     rank_gf2,
     reduced_betti,
-    tightness_example,
 )
 from corridor_forge.pm import PmConfig, pm_run
 from util import (
     boundary_complex_of_simplex,
+    boundary_of_indicator,
     boundary_squares_to_zero,
+    check_small_facet_lemma,
     matmul_gf2,
     oracle_betti,
     oracle_rank,
     random_small_complex,
+    tightness_example,
 )
 
 
@@ -59,8 +59,8 @@ def bit_matrices(draw):
 
 @st.composite
 def graphic_matrices(draw):
-    """Rows of weight 0, 1 and 2 (the union-find path): zero rows,
-    one-bit rows and duplicates."""
+    """Rows of weight 0, 1 and 2, the shape of a graph's incidence
+    matrix: zero rows, one-bit rows and duplicates."""
     cols = draw(st.integers(1, 80))
     bit = st.integers(0, cols - 1).map(lambda j: 1 << j)
     row = st.one_of(
@@ -153,20 +153,9 @@ class TestRank:
         assert got == oracle_rank(m)
         assert got <= min(m.rows, m.cols)
 
-    def test_path_choice(self, monkeypatch):
-        calls = []
-        forest = gf2._spanning_forest
-        monkeypatch.setattr(
-            gf2, "_spanning_forest", lambda nodes, edges: calls.append(edges) or forest(nodes, edges)
-        )
-        assert rank_gf2(Gf2Matrix(rows=3, cols=4, bits=[0b11, 0b110, 0b1])) == 3
-        assert len(calls) == 1
-        assert rank_gf2(Gf2Matrix(rows=3, cols=4, bits=[0b11, 0b1110, 0b1])) == 3
-        assert len(calls) == 1
-
     def test_graphic_bits_beyond_cols(self):
-        # Gf2Matrix does not keep bits below cols; the ground node must
-        # not collide with a column
+        # Gf2Matrix does not keep bits below cols; a bit past cols still
+        # counts as a column of its own
         assert rank_gf2(Gf2Matrix(rows=2, cols=1, bits=[1 << 5, 1])) == 2
         assert rank_gf2(Gf2Matrix(rows=3, cols=1, bits=[1 << 5, 1, 1 | 1 << 5])) == 2
 
@@ -373,12 +362,11 @@ class TestHomologyRecord:
     ])
     def test_path_choice(self, monkeypatch, X, forests, built):
         calls = Counter()
-        forest = gf2._spanning_forest
+        forest, rank = gf2._spanning_forest, gf2.rank_gf2
         monkeypatch.setattr(
             gf2, "_spanning_forest", lambda *a: calls.update(["forest"]) or forest(*a)
         )
-        # the oracle, so that rank_gf2's own union-find is not counted
-        monkeypatch.setattr(gf2, "rank_gf2", lambda m: calls.update(["rank"]) or oracle_rank(m))
+        monkeypatch.setattr(gf2, "rank_gf2", lambda m: calls.update(["rank"]) or rank(m))
         assert betti_numbers(X) == [oracle_betti(X, k) for k in range(X.dim + 1)]
         assert (calls["forest"], calls["rank"]) == (forests, built)
 
@@ -436,7 +424,7 @@ class TestBoundaryOfIndicator:
 
     def test_unknown_face(self):
         X = complex_from_facets([[1, 2, 3]])
-        with pytest.raises(InvalidFace):
+        with pytest.raises(InvalidParams):
             boundary_of_indicator(X, 2, [(4, 5, 6)])
 
     def test_component_chain_supported_in_removed_set(self):

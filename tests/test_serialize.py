@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corridor_forge import serialize
-from corridor_forge.complexes import SimplicialComplex, boundary_corridor, straight_corridor
+from corridor_forge.complexes import SimplicialComplex, boundary_corridor
 from corridor_forge.corridor import ProcessConfig, run
 from corridor_forge.errors import InvalidParams
 from corridor_forge.pm import PmConfig, pm_run
@@ -26,6 +26,7 @@ from corridor_forge.serialize import (
     save_complex,
     write_trajectory_csv,
 )
+from util import straight_corridor
 
 
 class TestComplexRoundTrip:

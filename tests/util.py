@@ -4,18 +4,100 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
+from math import comb
 from operator import xor
 
 from corridor_forge.complexes import (
+    Face,
     SimplicialComplex,
     complex_from_facets,
     k_faces,
     make_face,
-    straight_corridor,
 )
-from corridor_forge.gf2 import Gf2Matrix, boundary_matrix
+from corridor_forge.dual import build_dual, is_connected
+from corridor_forge.errors import EmptyDual, InvalidParams
+from corridor_forge.gf2 import Gf2Matrix, boundary_matrix, reduced_betti
+
+
+def straight_corridor(d: int, N: int) -> SimplicialComplex:
+    """The d-dimensional straight corridor on [N].
+
+    Facets are the N - d windows of d + 1 consecutive integers, listed
+    explicitly: the oracle for complexes.window_faces.
+    """
+    if d < 1:
+        raise InvalidParams("dimension must be at least 1")
+    if N < d + 1:
+        raise InvalidParams(f"need N >= d + 1, got N={N}, d={d}")
+    facets = [tuple(range(k, k + d + 1)) for k in range(1, N - d + 1)]
+    return SimplicialComplex(n=N, facets=frozenset(facets))
+
+
+def corridor_face_count(D: int, N: int, k: int) -> int:
+    """Number of codimension-k faces of SC_D(N), in closed form."""
+    if N < D + 1:
+        raise InvalidParams(f"need N >= D + 1, got N={N}, D={D}")
+    if not 1 <= k <= D + 1:
+        raise InvalidParams(f"codimension k={k} out of range 1..{D + 1}")
+    return comb(D, D - k + 1) + (N - D) * comb(D, k)
+
+
+def is_strongly_connected(X: SimplicialComplex, d: int) -> bool:
+    """Whether the dual graph on the d-faces of X is connected."""
+    try:
+        return is_connected(build_dual(X, d))
+    except EmptyDual:
+        return False
+
+
+@dataclass(frozen=True)
+class LemmaCheck:
+    applicable: bool
+    holds: bool
+
+
+def check_small_facet_lemma(X: SimplicialComplex, d: int) -> LemmaCheck:
+    """Few-facet homology vanishing: a complex of dimension at most d with
+    at most d facets has trivial reduced homology in dimension d - 1.
+
+    Returns holds=True vacuously (applicable=False) when the hypothesis
+    fails.
+    """
+    if X.dim > d or len(X.facets) > d:
+        return LemmaCheck(applicable=False, holds=True)
+    return LemmaCheck(applicable=True, holds=reduced_betti(X, d - 1) == 0)
+
+
+def tightness_example(d: int) -> SimplicialComplex:
+    """A complex with d + 1 facets and nonzero reduced homology in
+    dimension d - 1: each (d-1)-face of the central simplex boundary on
+    [d+1] is coned to its own fresh apex."""
+    if d < 2:
+        raise InvalidParams("need d >= 2")
+    center = tuple(range(1, d + 2))
+    facets = []
+    for apex, base in enumerate(combinations(center, d), start=d + 2):
+        facets.append(tuple(sorted(base + (apex,))))
+    return SimplicialComplex(n=2 * d + 2, facets=frozenset(facets))
+
+
+def boundary_of_indicator(
+    X: SimplicialComplex, d: int, selected
+) -> frozenset[Face]:
+    """GF(2) boundary of the indicator chain of a set of d-faces: the
+    (d-1)-faces hit an odd number of times."""
+    all_d = k_faces(X, d)
+    chain: set[Face] = set()
+    for f in selected:
+        face = tuple(sorted(f))
+        if face not in all_d:
+            raise InvalidParams(f"{face} is not a {d}-face of the complex")
+        for sub in combinations(face, d):
+            chain.symmetric_difference_update({sub})
+    return frozenset(chain)
 
 
 def boundary_complex_of_simplex(f) -> SimplicialComplex:
