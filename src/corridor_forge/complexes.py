@@ -7,7 +7,6 @@ generates lower-dimensional faces on demand.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -147,13 +146,20 @@ def boundary_corridor_diameter(d: int, N: int) -> int:
     return d * N // (d + 1) - d + 1
 
 
+def ridge_holders(faces, d: int) -> dict[Face, list[int]]:
+    """Map each (d-1)-face of the given faces to the positions, in faces,
+    of the faces that hold it, in order. On d-faces these are the ridges:
+    the dual graph joins the holders of each ridge, a pseudomanifold has
+    exactly two per ridge, and homology reads a graphic top boundary off
+    them."""
+    holders: dict[Face, list[int]] = {}
+    for i, f in enumerate(faces):
+        for r in combinations(f, d):
+            holders.setdefault(r, []).append(i)
+    return holders
+
+
 def is_pseudomanifold(X: SimplicialComplex, d: int) -> bool:
     """True iff X is pure d-dimensional and every (d-1)-face lies in
     exactly two d-faces."""
-    if not X.is_pure(d):
-        return False
-    mult: Counter[Face] = Counter()
-    for facet in X.facets:
-        mult.update(combinations(facet, d))
-    return all(c == 2 for c in mult.values())
-
+    return X.is_pure(d) and all(len(h) == 2 for h in ridge_holders(X.facets, d).values())

@@ -40,6 +40,7 @@ from .trajectory import (
     TrackedComplex,
     TrajectoryTracker,
     band_halfwidth,
+    band_interval,
     predicted_y,
     tracked_complex,
     z_statistic,
@@ -382,10 +383,7 @@ def first_band_exit(records: list[TrajectoryRecord], n: int) -> int | None:
     """
     for rec in records:
         for entry in rec.entries.values():
-            period = len(entry.w)
-            center = n * (1.0 - rec.p**entry.size)
-            lo = (center - entry.band) / period
-            hi = (center + entry.band) / period
+            lo, hi = band_interval(n, rec.p, entry.size, entry.band, len(entry.w))
             if any(not lo <= wj <= hi for wj in entry.w):
                 return rec.step
     return None

@@ -1,8 +1,8 @@
 """Dual graphs of pure complexes: diameter, connectivity, induced paths.
 
 The dual graph has one node per d-face, with an edge whenever two d-faces
-share a (d-1)-face. Built by hashing each (d-1)-subface to its incident
-d-faces.
+share a (d-1)-face (a ridge): it joins the holders of each ridge in the
+map ``complexes.ridge_holders`` builds.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from collections.abc import Container
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .complexes import Face, SimplicialComplex, k_faces
+from .complexes import Face, SimplicialComplex, k_faces, ridge_holders
 from .errors import EmptyDual, InvalidParams, NotStronglyConnected, RefusedSize
 
 
@@ -38,12 +38,8 @@ def build_dual(X: SimplicialComplex, d: int) -> DualGraph:
     faces = sorted(k_faces(X, d))
     if not faces:
         raise EmptyDual(f"complex has no {d}-faces")
-    index: dict[Face, list[int]] = {}
-    for i, f in enumerate(faces):
-        for sub in combinations(f, d):
-            index.setdefault(sub, []).append(i)
     adj: list[set[int]] = [set() for _ in faces]
-    for bucket in index.values():
+    for bucket in ridge_holders(faces, d).values():
         for i, j in combinations(bucket, 2):
             adj[i].add(j)
             adj[j].add(i)

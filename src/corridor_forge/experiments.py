@@ -16,7 +16,6 @@ from .corridor import CORRIDOR, ProcessConfig, run
 from .dual import (
     build_dual,
     diameter,
-    is_connected,
     johnson_graph,
     longest_induced_path_bruteforce,
     vertex_connectivity,
@@ -179,7 +178,9 @@ def analyze_complex(X: SimplicialComplex) -> dict:
     connectivity, f-vector and the pseudomanifold predicate."""
     d = X.dim
     g = build_dual(X, d)
-    connected = is_connected(g)
+    # kappa = 0 exactly when a graph on 2 or more nodes is disconnected
+    kappa = vertex_connectivity(g) if g.num_nodes >= 2 else None
+    connected = kappa != 0
     report = {
         "d": d,
         "n": X.n,
@@ -189,7 +190,7 @@ def analyze_complex(X: SimplicialComplex) -> dict:
         "strongly_connected": connected,
         "pseudomanifold": is_pseudomanifold(X, d),
         "diameter": diameter(g) if connected else None,
-        "connectivity": vertex_connectivity(g) if g.num_nodes >= 2 else None,
+        "connectivity": kappa,
     }
     return report
 

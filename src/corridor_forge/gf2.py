@@ -1,11 +1,12 @@
 """GF(2) boundary matrices and reduced Betti numbers.
 
-A ``Gf2Matrix`` holds one Python int bitmask per row; ``rank_gf2``
-eliminates by word-level XOR. Homology ranks ∂_1, always graphic (the
-1-skeleton), and the top boundary ∂_d of every pseudomanifold and
-corridor image, whose ridges lie in one or two facets, by union-find over
-index pairs, with no bit rows. Their spanning forests cut the boundaries
-in between down to cotree rows (∂_2) and non-forest columns (∂_{d-1})
+A ``Gf2Matrix`` holds one Python int bitmask per row, built by
+``_boundary_rows`` alone; ``rank_gf2`` eliminates by word-level XOR.
+Homology ranks ∂_1, always graphic (the 1-skeleton), and the top boundary
+∂_d of every pseudomanifold and corridor image, whose ridges lie in one
+or two facets (``complexes.ridge_holders``), by union-find over index
+pairs, with no bit rows. Their spanning forests cut the boundaries in
+between down to cotree rows (∂_2) and non-forest columns (∂_{d-1})
 before those are built as bit rows for rank_gf2; at d = 2 nothing is left
 in between. Homology is reduced: dimension 0 is augmented by the
 empty face, so a single simplex has all reduced Betti numbers zero. Each
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import Face, SimplicialComplex, k_faces
+from .complexes import Face, SimplicialComplex, k_faces, ridge_holders
 from .errors import InvalidParams
 
 
@@ -66,26 +67,9 @@ def _spanning_forest(nodes: int, edges) -> list[bool]:
     return joins
 
 
-def boundary_matrix(X: SimplicialComplex, k: int) -> Gf2Matrix:
-    """The k-th boundary matrix: column per k-face, row per (k-1)-face,
-    both in sorted order.
-
-    At k = 0 this is the augmentation map to the empty face (a single
-    all-ones row over the vertices).
-    """
-    faces_low = sorted(k_faces(X, k - 1)) if k else [()]
-    faces_k = sorted(k_faces(X, k))
-    row_of = {f: i for i, f in enumerate(faces_low)}
-    bits = [0] * len(faces_low)
-    for j, f in enumerate(faces_k):
-        for sub in combinations(f, k):
-            bits[row_of[sub]] |= 1 << j
-    return Gf2Matrix(rows=len(faces_low), cols=len(faces_k), bits=bits)
-
-
-def _restricted_rank(columns, rows, k: int) -> int:
-    """Rank of ∂_k cut down to the given k-faces (columns) and (k-1)-faces
-    (rows): one bitmask per row, over the columns' indices."""
+def _boundary_rows(columns, rows, k: int) -> Gf2Matrix:
+    """∂_k cut down to the given k-faces (columns) and (k-1)-faces (rows):
+    one bitmask per row, over the columns' indices."""
     index = {f: i for i, f in enumerate(rows)}
     bits = [0] * len(rows)
     for j, f in enumerate(columns):
@@ -93,13 +77,23 @@ def _restricted_rank(columns, rows, k: int) -> int:
             i = index.get(sub)
             if i is not None:
                 bits[i] |= 1 << j
-    return rank_gf2(Gf2Matrix(rows=len(rows), cols=len(columns), bits=bits))
+    return Gf2Matrix(rows=len(rows), cols=len(columns), bits=bits)
+
+
+def boundary_matrix(X: SimplicialComplex, k: int) -> Gf2Matrix:
+    """The k-th boundary matrix: column per k-face, row per (k-1)-face,
+    both in sorted order.
+
+    At k = 0 this is the augmentation map to the empty face (a single
+    all-ones row over the vertices).
+    """
+    return _boundary_rows(sorted(k_faces(X, k)), sorted(k_faces(X, k - 1)) if k else [()], k)
 
 
 def _counts_and_ranks(X: SimplicialComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Face counts f_0..f_d and ranks of ∂_0..∂_{d+1} of X, d = dim X.
 
-    ∂_d: one pass over the d-faces maps each (d-1)-face (ridge) to the
+    ∂_d: complexes.ridge_holders maps each (d-1)-face (ridge) to the
     d-faces that hold it. If none has three, ∂_d is the incidence matrix of
     a graph on the d-faces and a ground node (a ridge in two d-faces joins
     them, a ridge in one joins it to the ground), ranked by a spanning
@@ -125,31 +119,27 @@ def _counts_and_ranks(X: SimplicialComplex) -> tuple[tuple[int, ...], tuple[int,
     columns: dict[int, list[Face]] = {}  # ∂_k's columns where a forest cuts them
     graphic = d == 1  # then ∂_d is ∂_1
     if d >= 2:
-        first: dict[Face, int] = {}
-        second: dict[Face, int] = {}
-        for j, f in enumerate(top):
-            for r in combinations(f, d):
-                if first.setdefault(r, j) != j:
-                    second[r] = j
-        # a third holder overwrites a second, so the two maps keep all
-        # (d+1)|top| incidences only if no ridge lies in three d-faces
-        graphic = len(first) + len(second) == (d + 1) * len(top)
+        holders = ridge_holders(top, d)
+        graphic = all(len(h) <= 2 for h in holders.values())
         if graphic:
+            ground = len(top)
             forest = _spanning_forest(
-                len(top) + 1, [(i, second.get(r, len(top))) for r, i in first.items()]
+                ground + 1, [(h[0], h[1] if len(h) == 2 else ground) for h in holders.values()]
             )
             ranks[d] = sum(forest)
-            columns[d - 1] = faces[d - 1] + [r for r, tree in zip(first, forest) if not tree]
-        faces[d - 1] += first
+            columns[d - 1] = faces[d - 1] + [r for r, tree in zip(holders, forest) if not tree]
+        faces[d - 1] += holders
         for k in range(1, d - 1):
             faces[k] = k_faces(X, k)
     edges = faces[1]
-    joins = _spanning_forest(max(vertices) + 1, edges)
+    # union-find over vertex ranks, so memory follows the complex, not the ids
+    rank_of = {v: i for i, v in enumerate(vertices)}
+    joins = _spanning_forest(len(vertices), [(rank_of[a], rank_of[b]) for a, b in edges])
     ranks[1] = sum(joins)
     cotree = [e for e, tree in zip(edges, joins) if not tree]
     for k in range(2, d if graphic else d + 1):
         rows = cotree if k == 2 else faces[k - 1]
-        ranks[k] = _restricted_rank(columns.get(k, faces[k]), rows, k)
+        ranks[k] = rank_gf2(_boundary_rows(columns.get(k, faces[k]), rows, k))
     return (len(vertices), *(len(faces[k]) for k in range(1, d + 1))), tuple(ranks)
 
 

@@ -124,11 +124,17 @@ def band_halfwidth(n: int, e_value: float) -> float:
     return n**0.75 * e_value / 2
 
 
+def band_interval(n: int, p: float, size_a: int, band: float, period: int) -> tuple[float, float]:
+    """The interval I_A(t) of each W_{A,j}: trajectory minus and plus the
+    half-band ``band``, both scaled by the subsequence period."""
+    center = n * (1 - p**size_a)
+    return (center - band) / period, (center + band) / period
+
+
 def z_statistic(
     w: tuple[int, ...], n: int, p: float, size_a: int, band: float, period: int
 ) -> tuple[float, ...]:
-    """Centered supermartingale statistic of each W_{A,j}: W minus
-    trajectory minus half-band ``band``, the latter two scaled by the
-    subsequence period."""
-    offset = (n * (1 - p**size_a) + band) / period
-    return tuple(wj - offset for wj in w)
+    """Centered supermartingale statistic of each W_{A,j}: W minus the top
+    of its interval I_A(t)."""
+    hi = band_interval(n, p, size_a, band, period)[1]
+    return tuple(wj - hi for wj in w)

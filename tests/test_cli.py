@@ -11,7 +11,7 @@ import pytest
 
 from corridor_forge import cli, corridor, experiments
 from corridor_forge.cli import main
-from corridor_forge.complexes import boundary_corridor
+from corridor_forge.complexes import boundary_corridor, complex_from_facets
 from corridor_forge.errors import VerificationError
 from corridor_forge.experiments import ExperimentSpec, run_experiment
 from corridor_forge.serialize import complex_from_dict, save_complex
@@ -115,6 +115,20 @@ class TestAnalyzeHomology:
         assert obj["connectivity"] == 3
         assert obj["pseudomanifold"] is True
         assert obj["f_vector"] == [6, 12, 8]
+
+    @pytest.mark.parametrize("facets,want", [
+        # two disjoint triangles: a disconnected dual, kappa = 0
+        ([[1, 2, 3], [4, 5, 6]], (False, None, 0)),
+        # one facet: a single node, connected, with no kappa
+        ([[1, 2, 3]], (True, 0, None)),
+    ])
+    def test_analyze_connectivity_extremes(self, tmp_path, capsys, facets, want):
+        path = tmp_path / "complex.json"
+        save_complex(complex_from_facets(facets), str(path))
+        code, captured = _run(capsys, ["analyze", str(path)])
+        assert code == 0
+        obj = json.loads(captured.out)
+        assert (obj["strongly_connected"], obj["diameter"], obj["connectivity"]) == want
 
     def test_homology(self, tmp_path, capsys):
         path = tmp_path / "sphere.json"

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from corridor_forge.complexes import (
     is_pseudomanifold,
     k_faces,
     make_face,
+    ridge_holders,
 )
 from corridor_forge.errors import DegenerateFace, InvalidParams
 from util import (
@@ -131,6 +134,19 @@ class TestCorridorFaceCount:
     def test_out_of_range_k(self):
         with pytest.raises(InvalidParams):
             corridor_face_count(2, 5, 4)
+
+
+class TestRidgeHolders:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sets(st.integers(1, 8), min_size=1, max_size=5), max_size=12),
+           st.integers(0, 5))
+    def test_matches_incidence(self, vertex_sets, d):
+        # faces of mixed sizes, repeats allowed: each d-subset of a face
+        # maps to the positions of every face that contains it, in order
+        faces = [tuple(sorted(s)) for s in vertex_sets]
+        ridges = {r for f in faces for r in combinations(f, d)}
+        want = {r: [i for i, f in enumerate(faces) if set(r) <= set(f)] for r in ridges}
+        assert ridge_holders(faces, d) == want
 
 
 class TestIsPseudomanifold:

@@ -19,8 +19,11 @@ from corridor_forge.corridor import (
     ProcessSpec,
     ProcessState,
     RunReport,
+    TrajectoryEntry,
+    TrajectoryRecord,
     assemble,
     default_tracked_family,
+    first_band_exit,
     i_end,
     init,
     run,
@@ -37,7 +40,13 @@ from corridor_forge.errors import (
 )
 from corridor_forge.pm import PM, PmConfig, pm_run
 from corridor_forge.serialize import report_json
-from corridor_forge.trajectory import TrajectoryTracker, band_halfwidth, predicted_y
+from corridor_forge.trajectory import (
+    TrajectoryTracker,
+    band_halfwidth,
+    band_interval,
+    predicted_y,
+    z_statistic,
+)
 from util import closed_faces, oracle_snapshot, oracle_window_faces, straight_corridor
 
 
@@ -310,6 +319,21 @@ class TestRun:
     def test_band_never_exited_at_desk_scale(self):
         report = run(ProcessConfig(n=40, d=2, seed=2, record_every=10))
         assert report.first_band_exit is None
+
+    def test_band_exit_is_the_first_record_outside(self):
+        # n = 100, p = 1/2, |A| = 1, band 4, period 2: I_A = [23, 27]
+        def record(step, w):
+            entry = TrajectoryEntry(size=1, y=0, w=w, pred=50.0, band=4.0,
+                                    z=z_statistic(w, 100, 0.5, 1, 4.0, 2))
+            return TrajectoryRecord(step=step, t=0.0, p=0.5, terminal_y=0, entries={"A": entry})
+
+        inside, below, above = record(10, (23, 27)), record(20, (22, 25)), record(30, (24, 28))
+        assert band_interval(100, 0.5, 1, 4.0, 2) == (23.0, 27.0)
+        assert first_band_exit([inside], 100) is None
+        assert first_band_exit([inside, below, above], 100) == 20
+        assert first_band_exit([inside, above], 100) == 30
+        # z is W minus the top of the interval
+        assert inside.entries["A"].z == (-4.0, 0.0) and above.entries["A"].z == (-3.0, 1.0)
 
 
 class TestVerifier:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from functools import cache
 from itertools import combinations
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corridor_forge import gf2
+from corridor_forge import complexes, gf2
 from corridor_forge.complexes import (
     SimplicialComplex,
     boundary_corridor,
@@ -320,25 +321,29 @@ class TestHomologyRecord:
     def test_builds_each_boundary_once(self, monkeypatch):
         image = pm_run(PmConfig(n=30, d=3, seed=1)).image
         forests, built, listed, enumerated = [], [], [], Counter()
-        forest, rank, faces, subsets = (
-            gf2._spanning_forest, gf2.rank_gf2, gf2.k_faces, gf2.combinations)
+        forest, rank, faces = gf2._spanning_forest, gf2.rank_gf2, gf2.k_faces
         monkeypatch.setattr(
             gf2, "_spanning_forest", lambda nodes, edges: forests.append(nodes) or forest(nodes, edges)
         )
         monkeypatch.setattr(gf2, "rank_gf2", lambda m: built.append((m.rows, m.cols)) or rank(m))
         # gf2 calls complexes.k_faces through its own module binding
         monkeypatch.setattr(gf2, "k_faces", lambda X, k: listed.append(k) or faces(X, k))
-        monkeypatch.setattr(
-            gf2, "combinations", lambda f, k: enumerated.update([(len(f), k)]) or subsets(f, k)
-        )
+        def counted(subsets):
+            return lambda f, k: enumerated.update([(len(f), k)]) or subsets(f, k)
+
+        # the ridge pass (complexes.ridge_holders) and k_faces enumerate in
+        # complexes, the bit rows in gf2
+        for module in (gf2, complexes):
+            monkeypatch.setattr(module, "combinations", counted(module.combinations))
         per_k = [reduced_betti(image, k) for k in range(image.dim + 2)]
         assert betti_numbers(image) == per_k[:-1]
-        (_, f1, f2, f3), ranks = gf2._homology(image)
-        # ∂_3 and ∂_1 by union-find; the edges listed once, each
-        # tetrahedron's triangles once; ∂_2 built once, on the cotree edges
+        (f0, f1, f2, f3), ranks = gf2._homology(image)
+        # ∂_3 and ∂_1 by union-find, ∂_1 over the vertices; each
+        # tetrahedron's triangles and edges enumerated once (the ridge map,
+        # the one listing of the edges); ∂_2 built once, on the cotree edges
         # and the triangles outside the forest of ∂_3
-        once = {"forests": [f3 + 1, image.n + 1], "built": [(f1 - ranks[1], f2 - ranks[3])],
-                "listed": [1], "enumerated": {(4, 3): f3, (3, 2): f2 - ranks[3]}}
+        once = {"forests": [f3 + 1, f0], "built": [(f1 - ranks[1], f2 - ranks[3])], "listed": [1],
+                "enumerated": {(4, 3): f3, (4, 2): f3, (3, 2): f2 - ranks[3]}}
         logs = {"forests": forests, "built": built, "listed": listed, "enumerated": enumerated}
         assert logs == once
         # the record belongs to the instance, not to its facets
@@ -369,6 +374,19 @@ class TestHomologyRecord:
         monkeypatch.setattr(gf2, "rank_gf2", lambda m: calls.update(["rank"]) or rank(m))
         assert betti_numbers(X) == [oracle_betti(X, k) for k in range(X.dim + 1)]
         assert (calls["forest"], calls["rank"]) == (forests, built)
+
+    def test_memory_follows_the_complex_not_the_vertex_ids(self):
+        # the union-find of ∂_1 runs over the vertices' ranks: a vertex id
+        # of 10**6 costs no list of 10**6 entries
+        X = complex_from_facets([[1, 10**6], [2, 3, 4]])
+        tracemalloc.start()
+        try:
+            betti = betti_numbers(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert betti == [1, 0, 0] == [oracle_betti(X, k) for k in range(3)]
+        assert peak < 2**20
 
     def test_list_facets(self):
         # an unhashable complex still gets its record
@@ -457,7 +475,7 @@ class TestRestriction:
         cotree = [e for i, e in enumerate(edges) if i not in tree]
         want = oracle_rank(full)
         assert oracle_rank(cut) == want
-        assert gf2._restricted_rank(k_faces(X, 2), cotree, 2) == want
+        assert rank_gf2(gf2._boundary_rows(k_faces(X, 2), cotree, 2)) == want
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(graphic_complexes(), images()))
@@ -476,10 +494,10 @@ class TestRestriction:
         cut = Gf2Matrix(rows=full.rows, cols=full.cols, bits=[row & mask for row in full.bits])
         want = oracle_rank(full)
         assert oracle_rank(cut) == want
-        assert gf2._restricted_rank(kept, k_faces(X, d - 2), d - 1) == want
+        assert rank_gf2(gf2._boundary_rows(kept, k_faces(X, d - 2), d - 1)) == want
         if d == 3:
             # both cuts at once, as ∂_2 is ranked at d = 3
             edges = sorted(k_faces(X, 1))
             tree = forest_keys((a, b, i) for i, (a, b) in enumerate(edges))
             cotree = [e for i, e in enumerate(edges) if i not in tree]
-            assert gf2._restricted_rank(kept, cotree, 2) == want
+            assert rank_gf2(gf2._boundary_rows(kept, cotree, 2)) == want

@@ -1,7 +1,8 @@
-"""Every name a package or test module imports is used in that module,
-and every function, class and method the package defines is used by the
-program: named in another package module or a benchmark file, not only
-in tests or in ``__init__.py``'s re-exports.
+"""Every name a package or test module imports is read in that module
+and imported there once, and every function, class and method the
+package defines is used by the program: named in another package module
+or a benchmark file, not only in tests or in ``__init__.py``'s
+re-exports.
 
 The package's ``__init__.py`` is exempt from the import check: its imports
 are its re-exports.
@@ -28,22 +29,47 @@ EXEMPT = {"i_end": "ROADMAP item 5"}
 
 
 def unused_imports(source: str) -> list[str]:
+    """The imports of a module that bind a name it never reads, or a name
+    an earlier import already bound. Assigning or deleting the name does
+    not read it."""
     tree = ast.parse(source)
-    imported: dict[str, int] = {}
+    bound: list[tuple[int, str]] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            bound += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    unused, seen = [], set()
+    for line, name in sorted(bound):
+        if name in seen:
+            unused.append(f"{name} (line {line}, imported again)")
+        elif name not in read:
+            unused.append(f"{name} (line {line})")
+        seen.add(name)
+    return unused
 
 
 def test_detects_unused_import():
-    source = "from __future__ import annotations\nimport os, json as j\nfrom math import exp, pi\nprint(j, pi)\n"
-    assert unused_imports(source) == ["os (line 2)", "exp (line 3)"]
+    source = (
+        "from __future__ import annotations\n"
+        "import os, json as j\n"
+        "from math import exp, pi, tau\n"
+        "import sys\n"
+        "print(j, pi)\n"
+        "tau = 2 * j.loads('3')\n"
+        "def f():\n"
+        "    from math import pi\n"
+        "    return pi\n"
+        "del sys\n"
+    )
+    assert unused_imports(source) == [
+        "os (line 2)", "exp (line 3)", "tau (line 3)", "sys (line 4)",
+        "pi (line 8, imported again)",
+    ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
