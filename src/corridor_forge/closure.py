@@ -1,34 +1,34 @@
 """Closed-face bookkeeping shared by the two mapping processes.
 
 The closure index is the one record of the closed (d-1)-faces. It maps
-each (d-2)-face tau, as a sorted tuple, to a Python-int bitmask with bit v
-set when tau + {v} is closed, so the candidate scan is a few big-int
-operations instead of a pass over [n].
+each (d-2)-face tau, packed to an int by ``complexes.pack``, to a Python-int
+bitmask with bit v set when tau + {v} is closed, so the candidate scan is a
+few big-int operations instead of a pass over [n]. A step enters its new
+faces with one OR per key, and a new bit already set means a face closed
+twice.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
+from .complexes import unpack
 from .errors import VerificationError
 
 
-def close_face(masks: dict[tuple[int, ...], int], face: tuple[int, ...]):
-    """Enter the sorted face into the closure index: for each vertex v of
-    the face, set bit v in the mask of the (d-2)-face face - {v}. A face
-    that is already closed raises VerificationError."""
-    for i, v in enumerate(face):
-        tau = face[:i] + face[i + 1 :]
-        mask = masks.get(tau, 0)
-        if mask >> v & 1:
-            raise VerificationError(f"face {face} closed twice")
-        masks[tau] = mask | (1 << v)
+def closed_twice(key: int, overlap: int, n: int, d: int):
+    """Raise VerificationError naming the face closed twice: the packed
+    (d-2)-face ``key`` plus the lowest set bit of ``overlap``, the bits that
+    were already set in its mask."""
+    v = (overlap & -overlap).bit_length() - 1
+    face = tuple(sorted((*unpack(key, n, d - 1), v)))
+    raise VerificationError(f"face {face} closed twice")
 
 
 class BitChoices:
     """The set bits of an int as a read-only sorted sequence: ``len`` is
     the popcount and ``[k]`` the k-th smallest set bit, found by bisecting
-    on prefix popcounts without building the list."""
+    on the popcounts of its right shifts without building the list."""
 
     __slots__ = ("bits", "size")
 
@@ -43,11 +43,13 @@ class BitChoices:
         if not 0 <= k < self.size:
             raise IndexError("choice index out of range")
         bits = self.bits
-        # invariant: fewer than k+1 set bits below lo, at least k+1 below hi
+        # invariant: fewer than k+1 set bits below lo, at least k+1 below hi,
+        # that is at least size-k at or above lo and fewer at or above hi
+        above = self.size - k
         lo, hi = 0, bits.bit_length()
         while hi - lo > 1:
             mid = (lo + hi) >> 1
-            if (bits & ((1 << mid) - 1)).bit_count() <= k:
+            if (bits >> mid).bit_count() >= above:
                 lo = mid
             else:
                 hi = mid
@@ -55,25 +57,19 @@ class BitChoices:
 
 
 def scan_available(
-    *,
-    n: int,
-    masks: dict[tuple[int, ...], int],
-    taus: Iterable[tuple[int, ...]],
-    recent: Iterable[int],
+    *, n: int, masks: dict[int, int], keys: Iterable[int], recent: int
 ) -> tuple[int, BitChoices]:
     """(count of vertices in [n] that close no closed face with any tau,
-    those vertices additionally outside ``recent`` as sorted choices).
+    those vertices additionally outside the bitmask ``recent`` as sorted
+    choices).
 
-    ``taus`` are the (d-2)-faces of the window. The count excludes the
-    window without a mask of its own: the start closes every d-subset of
-    its w+1 vertices and each step every new one containing the new
-    vertex, so each d-subset of the window is closed and blocks its
+    ``keys`` are the packed (d-2)-faces tau of the window. The count
+    excludes the window without a mask of its own: the start closes every
+    d-subset of its w+1 vertices and each step every new one containing the
+    new vertex, so each d-subset of the window is closed and blocks its
     vertices. ``recent`` contains the window."""
     blocked = 0
-    for tau in taus:
-        blocked |= masks.get(tau, 0)
+    for key in keys:
+        blocked |= masks.get(key, 0)
     avail = ((1 << (n + 1)) - 2) & ~blocked
-    recent_bits = 0
-    for v in recent:
-        recent_bits |= 1 << v
-    return avail.bit_count(), BitChoices(avail & ~recent_bits)
+    return avail.bit_count(), BitChoices(avail & ~recent)

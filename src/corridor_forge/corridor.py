@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, ClassVar, Iterable
+from typing import Callable, ClassVar
 
-from .closure import BitChoices, close_face, scan_available
-from .complexes import Face, SimplicialComplex, k_faces, window_faces
+from .closure import BitChoices, closed_twice, scan_available
+from .complexes import Face, SimplicialComplex, k_faces, pack, window_faces
 from .errors import InvalidParams, OutOfRegime, VerificationError
 from .trajectory import (
     TrackedComplex,
@@ -169,22 +170,27 @@ class ProcessConfig:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class ProcessState:
     config: ProcessConfig
     phi: list[int]
-    masks: dict[tuple[int, ...], int]
+    masks: dict[int, int]  # the closure index, keyed by packed (d-2)-face
     step: int
     rng: random.Random
     tracker: TrajectoryTracker | None = None
     first_low_step: int | None = None
+    # bitmask of the previous 2w images, phi[-2w:], kept by step
+    recent: int = 0
+    # positions of the window's (d-2)-faces in the sorted window, and
+    # _cone_positions(w, d), fixed for the run by init
+    tau_positions: list[tuple[int, ...]] = field(default_factory=list)
+    cone_positions: list[list[tuple[int, ...]]] = field(default_factory=list)
     # the scan of this state, set by _scan: |X_k|, the choices for the
-    # next vertex and the (d-2)-faces tau of the window (a list: tuple()
-    # of an iterator over-allocates, then shrinks, and the shrunk tuples
-    # pile up on CPython's free list for their size, ~0.1 MB a run)
+    # next vertex, the sorted window and its (d-2)-faces tau, packed
     available: int = 0
     choices: BitChoices = BitChoices(0)
-    taus: list[Face] = field(default_factory=list)
+    window: list[int] = field(default_factory=list)
+    taus: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -247,27 +253,75 @@ def init(config: ProcessConfig) -> ProcessState:
     and scan the start."""
     config.validate()
     n, d = config.n, config.d
+    w = config.spec.width(d)
     rng = random.Random(config.seed)
-    start = rng.sample(range(1, n + 1), config.spec.width(d) + 1)
-    state = ProcessState(config=config, phi=list(start), masks={}, step=0, rng=rng)
+    start = rng.sample(range(1, n + 1), w + 1)
+    state = ProcessState(
+        config=config, phi=list(start), masks={}, step=0, rng=rng,
+        recent=sum(1 << v for v in start),
+        tau_positions=list(combinations(range(w), d - 1)),
+        cone_positions=_cone_positions(w, d),
+    )
     if config.record_every > 0:
         state.tracker = TrajectoryTracker(
             n, config.spec.period(d), default_tracked_family(config), state.masks
         )
     for k, v in enumerate(start):
-        _close(state, v, combinations(sorted(start[:k]), d - 1), 0)
+        window = sorted(start[:k])
+        taus = [pack(tau, n) for tau in combinations(window, d - 1)]
+        _close(state, v, window, taus, _cone_positions(k, d), 0)
     _scan(state)
     return state
 
 
-def _close(state: ProcessState, v: int, taus: Iterable[Face], round_no: int):
-    """Close tau + {v} for each tau, noting each face to the tracker first.
-    A face that is already closed raises VerificationError."""
-    for tau in taus:
-        face = tuple(sorted(tau + (v,)))
-        if state.tracker is not None:
-            state.tracker.note_closure(face, round_no)
-        close_face(state.masks, face)
+def _cone_positions(k: int, d: int) -> list[list[tuple[int, ...]]]:
+    """For each rank r of a new vertex v among k sorted window vertices, the
+    positions, in the window with v inserted at r, of the (d-2)-faces
+    rho + {v} for rho in C(window, d-2): the (d-1)-subsets holding r."""
+    return [
+        [c for c in combinations(range(k + 1), d - 1) if r in c] for r in range(k + 1)
+    ]
+
+
+def _close(state: ProcessState, v: int, window: list[int], taus: list[int],
+           cone_positions: list[list[tuple[int, ...]]], round_no: int):
+    """Close tau + {v} for each tau in C(window, d-1) with one OR per
+    closure-index key, noting each key's new bits to the tracker. ``window``
+    is sorted, ``taus`` are its (d-2)-faces packed, and ``cone_positions``
+    is _cone_positions(len(window), d). Each tau gets bit v, and rho + {v},
+    for each rho in C(window, d-2), gets the window's bits minus rho's. A
+    new bit that is already set is a face closed twice and raises
+    VerificationError."""
+    n, d = state.config.n, state.config.d
+    base = n + 1
+    masks, tracker = state.masks, state.tracker
+    bit = 1 << v
+    for key in taus:
+        mask = masks.get(key, 0)
+        if mask & bit:
+            closed_twice(key, bit, n, d)
+        masks[key] = mask | bit
+        if tracker is not None:
+            tracker.note_closure(key, bit, round_no)
+    r = bisect_left(window, v)
+    merged = [*window[:r], v, *window[r:]]
+    merged_bits = 0
+    for u in merged:
+        merged_bits |= 1 << u
+    for positions in cone_positions[r]:
+        # pack rho + {v} (complexes.pack inlined, as in _scan); its bits are
+        # the merged ones minus its own
+        key, bits = 0, merged_bits
+        for i in positions:
+            u = merged[i]
+            key = key * base + u
+            bits ^= 1 << u
+        mask = masks.get(key, 0)
+        if mask & bits:
+            closed_twice(key, mask & bits, n, d)
+        masks[key] = mask | bits
+        if tracker is not None:
+            tracker.note_closure(key, bits, round_no)
 
 
 def _scan(state: ProcessState):
@@ -276,12 +330,20 @@ def _scan(state: ProcessState):
     that close no already-closed face; the choices further exclude the
     images of the previous 2w mapped vertices."""
     cfg = state.config
-    w = cfg.spec.width(cfg.d)
-    state.taus = list(combinations(sorted(state.phi[-w:]), cfg.d - 1))
+    base = cfg.n + 1
+    window = sorted(state.phi[-cfg.spec.width(cfg.d) :])
+    # complexes.pack inlined: a call per key costs a fifth of simulate
+    taus = []
+    for positions in state.tau_positions:
+        key = 0
+        for i in positions:
+            key = key * base + window[i]
+        taus.append(key)
+    state.window, state.taus = window, taus
     state.available, state.choices = scan_available(
-        n=cfg.n, masks=state.masks, taus=state.taus, recent=state.phi[-2 * w :]
+        n=cfg.n, masks=state.masks, keys=taus, recent=state.recent
     )
-    if state.first_low_step is None and state.available <= 2 * w:
+    if state.first_low_step is None and state.available <= 2 * len(window):
         state.first_low_step = state.step
 
 
@@ -290,11 +352,18 @@ def step(state: ProcessState) -> bool:
     for the state's C(w, d-1) taus, then scan the new state. Returns False
     when there is no choice."""
     choices = state.choices
-    if not choices:
+    size = len(choices)
+    if not size:
         return False
-    v = choices[state.rng.randrange(len(choices))]
-    _close(state, v, state.taus, state.step + 1)
-    state.phi.append(v)
+    v = choices[state.rng.randrange(size)]
+    window, phi = state.window, state.phi
+    _close(state, v, window, state.taus, state.cone_positions, state.step + 1)
+    phi.append(v)
+    recent = state.recent | 1 << v
+    back = 2 * len(window) + 1
+    if len(phi) >= back:
+        recent ^= 1 << phi[-back]  # it leaves the previous 2w images
+    state.recent = recent
     state.step += 1
     _scan(state)
     return True

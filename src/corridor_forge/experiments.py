@@ -175,12 +175,15 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> list[dict]:
 
 def analyze_complex(X: SimplicialComplex) -> dict:
     """Structural report on a JSON complex: dual-graph size, diameter,
-    connectivity, f-vector and the pseudomanifold predicate."""
+    connectivity, f-vector and the pseudomanifold predicate. Strong
+    connectivity, the diameter and the connectivity are those of a pure
+    complex's dual graph, so a non-pure complex reports them as None."""
     d = X.dim
     g = build_dual(X, d)
+    pure = X.is_pure(d)
     # kappa = 0 exactly when a graph on 2 or more nodes is disconnected
-    kappa = vertex_connectivity(g) if g.num_nodes >= 2 else None
-    connected = kappa != 0
+    kappa = vertex_connectivity(g) if pure and g.num_nodes >= 2 else None
+    connected = kappa != 0 if pure else None
     report = {
         "d": d,
         "n": X.n,

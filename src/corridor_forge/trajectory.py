@@ -6,16 +6,17 @@ run's closure index and counts the removals W_{A,j}: a closure that first
 takes a vertex out of Y_A counts at its round j modulo the subsequence
 period 3w+1 for a window of w vertices (3d+1 for the corridor process,
 3d+4 for the pseudomanifold process), the start's closures at round 0.
-So Y_A = n - v_A - sum_j W_{A,j} at every step, and checking that identity
+The engine notes each OR into the closure index, and the tracker counts
+the new bits against a running out-mask of its own per complex. So
+Y_A = n - v_A - sum_j W_{A,j} at every step, and checking that identity
 checks the counters against the closure index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .complexes import Face, make_face
+from .complexes import Face, make_face, pack
 from .errors import InvalidTrackedComplex, OutOfRegime
 
 
@@ -58,7 +59,8 @@ def tracked_complex(name: str, faces, d: int, max_v: int, max_size: int) -> Trac
 
 class TrajectoryTracker:
     """W_{A,j} counters for a fixed tracked family of distinctly named
-    complexes on [n]; Y_A is read from ``masks``, the run's closure index."""
+    complexes on [n]; Y_A is read from ``masks``, the run's closure index,
+    keyed by packed (d-2)-face."""
 
     def __init__(self, n: int, period: int, tracked: list[TrackedComplex], masks):
         self.n = n
@@ -74,31 +76,35 @@ class TrajectoryTracker:
         outside = [name for name, bits in self.v_bits.items() if bits >> n + 1]
         if outside:
             raise InvalidTrackedComplex(f"{outside}: tracked vertices must lie in [1, {n}]")
-        # (d-2)-face -> the tracked complexes that contain it
-        self.index: dict[Face, list[TrackedComplex]] = {}
-        for tc in self.tracked:
-            for f in tc.faces:
-                self.index.setdefault(f, []).append(tc)
+        self.keys = {tc.name: [pack(f, n) for f in tc.faces] for tc in self.tracked}
+        # packed (d-2)-face -> the names of the tracked complexes that hold it
+        self.index: dict[int, list[str]] = {}
+        for name, keys in self.keys.items():
+            for key in keys:
+                self.index.setdefault(key, []).append(name)
+        # the running out-mask of each complex, kept by note_closure
+        self.out = {tc.name: self._out(tc) for tc in self.tracked}
 
     def _out(self, tc: TrackedComplex) -> int:
-        """Bitmask of the vertices of [n] outside Y_A: those of A and each
-        v with tau + {v} closed for some tau in A."""
+        """Bitmask of the vertices of [n] outside Y_A, from the closure
+        index: those of A and each v with tau + {v} closed for some tau in A."""
         out = self.v_bits[tc.name]
-        for tau in tc.faces:
-            out |= self.masks.get(tau, 0)
+        for key in self.keys[tc.name]:
+            out |= self.masks.get(key, 0)
         return out
 
-    def note_closure(self, face: Face, round_no: int):
-        """Count the removals from Y_A that closing the sorted (d-1)-face
-        makes at the given round; call it before the face is closed."""
-        for sub in combinations(face, len(face) - 1):
-            hits = self.index.get(sub)
-            if not hits:
-                continue
-            v = sum(face) - sum(sub)
-            for tc in hits:
-                if not self._out(tc) >> v & 1:
-                    self.w[tc.name][round_no % self.period] += 1
+    def note_closure(self, key: int, bits: int, round_no: int):
+        """Count the removals from Y_A that setting ``bits`` in the mask of
+        the packed (d-2)-face ``key`` makes at the given round: the bits
+        not yet in each holding complex's out-mask."""
+        names = self.index.get(key)
+        if not names:
+            return
+        j = round_no % self.period
+        for name in names:
+            out = self.out[name]
+            self.w[name][j] += (bits & ~out).bit_count()
+            self.out[name] = out | bits
 
     def identity_holds(self, tc: TrackedComplex) -> bool:
         """Y_A = n - v_A - sum_j W_{A,j}, with Y_A from the closure index."""

@@ -130,6 +130,17 @@ class TestAnalyzeHomology:
         obj = json.loads(captured.out)
         assert (obj["strongly_connected"], obj["diameter"], obj["connectivity"]) == want
 
+    def test_analyze_non_pure_complex(self, tmp_path, capsys):
+        # an edge and a triangle: the dual on the triangle alone is one node,
+        # but strong connectivity is defined for pure complexes only
+        path = tmp_path / "complex.json"
+        save_complex(complex_from_facets([[1, 1000000], [2, 3, 4]]), str(path))
+        code, captured = _run(capsys, ["analyze", str(path)])
+        assert code == 0
+        obj = json.loads(captured.out)
+        assert (obj["strongly_connected"], obj["diameter"], obj["connectivity"]) == (None, None, None)
+        assert obj["pseudomanifold"] is False
+
     def test_homology(self, tmp_path, capsys):
         path = tmp_path / "sphere.json"
         save_complex(boundary_corridor(2, 6), str(path))

@@ -1,11 +1,13 @@
-"""The closure-index scan against the linear scan it replaced.
+"""The closure index and its scan against the per-face paths they replaced.
 
 ``oracle_scan`` is the former candidate scan: one pass over [n] that looks
 up every face tau + {v} in the closed faces, rebuilt from the mapped
-vertices without the index (``util.closed_faces``).
+vertices without the index (``util.closed_faces``). ``util.close_face`` is
+the former per-face closing, the oracle for the engine's one OR per key.
 """
 
 import os
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -17,10 +19,11 @@ from hypothesis import strategies as st
 
 from corridor_forge import corridor
 from corridor_forge.closure import BitChoices
+from corridor_forge.complexes import pack
 from corridor_forge.corridor import ProcessConfig, init, simulate, step, verify_process
 from corridor_forge.errors import VerificationError
 from corridor_forge.pm import PmConfig
-from util import closed_faces
+from util import close_face, closed_faces
 
 
 def oracle_scan(state):
@@ -44,7 +47,7 @@ def oracle_scan(state):
 def assert_scan_matches(state):
     count, choices = state.available, state.choices
     taus, want_count, want = oracle_scan(state)
-    assert state.taus == taus
+    assert state.taus == [pack(tau, state.config.n) for tau in taus]
     assert count == want_count
     assert len(choices) == len(want)
     assert list(choices) == want
@@ -71,6 +74,33 @@ def test_scan_matches_linear_oracle(config_cls, d, extra_n, seed, prefix):
         assert_scan_matches(state)
 
 
+def oracle_masks(state) -> dict[int, int]:
+    """The closure index rebuilt face by face from the mapped vertices,
+    re-keyed by pack."""
+    masks: dict[tuple[int, ...], int] = {}
+    for face in sorted(closed_faces(state)):
+        close_face(masks, face)
+    return {pack(tau, state.config.n): mask for tau, mask in masks.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    config_cls=st.sampled_from([ProcessConfig, PmConfig]),
+    d=st.sampled_from([2, 3, 4]),
+    extra_n=st.integers(0, 10),
+    seed=st.integers(0, 2**32 - 1),
+    prefix=st.integers(0, 150),
+)
+def test_masks_match_per_face_oracle(config_cls, d, extra_n, seed, prefix):
+    w = config_cls.spec.width(d)
+    state = init(config_cls(n=w + 2 + extra_n, d=d, seed=seed, allow_small_n=True))
+    assert state.masks == oracle_masks(state)
+    for _ in range(prefix):
+        if not step(state):
+            break
+        assert state.masks == oracle_masks(state)
+
+
 @given(st.integers(0, 2**200))
 def test_bit_choices_is_the_sorted_set_bits(bits):
     want = [v for v in range(bits.bit_length()) if bits >> v & 1]
@@ -93,20 +123,21 @@ def test_verify_process_catches_broken_index(config):
 @pytest.mark.parametrize("config", [ProcessConfig(n=30, d=3, seed=2), PmConfig(n=40, d=2, seed=2)])
 def test_step_rejects_a_closed_face(config):
     # phi[0] is outside the window, and with it every face it would close
-    # is a d-subset of the start, already closed
+    # is a d-subset of the start, already closed; the first is named
     state = init(config)
-    state.choices = [state.phi[0]]
-    with pytest.raises(VerificationError, match="closed twice"):
+    v = state.phi[0]
+    w = config.spec.width(config.d)
+    first_tau = sorted(state.phi[-w:])[: config.d - 1]
+    face = tuple(sorted([*first_tau, v]))
+    state.choices = [v]
+    with pytest.raises(VerificationError, match=re.escape(f"face {face} closed twice")):
         step(state)
 
 
 def test_verify_process_catches_a_repeat_past_close_face(monkeypatch):
-    def unchecked_close_face(masks, face):
-        for i, v in enumerate(face):
-            tau = face[:i] + face[i + 1 :]
-            masks[tau] = masks.get(tau, 0) | (1 << v)
-
-    monkeypatch.setattr(corridor, "close_face", unchecked_close_face)
+    # without the per-key overlap check the repeat ORs in no new bit, so
+    # the popcount sum of the index falls short
+    monkeypatch.setattr(corridor, "closed_twice", lambda *args: None)
     state = init(ProcessConfig(n=30, d=2, seed=2))
     state.choices = [state.phi[0]]
     assert step(state)
@@ -115,7 +146,8 @@ def test_verify_process_catches_a_repeat_past_close_face(monkeypatch):
 
 
 def test_repeated_face_raises_under_python_O():
-    # close_face checks with an if, not an assert, so -O keeps the check;
+    # the engine checks each key's overlap with an if, not an assert, so -O
+    # keeps the check;
     # the script's own assert shows that -O is on
     script = (
         "assert False, 'asserts are on'\n"

@@ -269,17 +269,18 @@ class TestTrackerIdentity:
                 assert tracker.identity_holds(tc)
 
     def test_skipped_subface_breaks_identity(self, monkeypatch):
-        """A note_closure that misses the subface without the face's first
-        vertex miscounts W; the verifier must see it in the closure index."""
+        """A note_closure that misses every closure into one key of a
+        tracked complex, the first it sees, miscounts W; the verifier must
+        see it in the closure index."""
         note_closure = TrajectoryTracker.note_closure
+        skipped = {}
 
-        def skip_one_subface(self, face, round_no):
-            hidden = self.index.pop(face[1:], None)
-            note_closure(self, face, round_no)
-            if hidden is not None:
-                self.index[face[1:]] = hidden
+        def skip_one_key(self, key, bits, round_no):
+            if key in self.index and skipped.setdefault("key", key) == key:
+                return
+            note_closure(self, key, bits, round_no)
 
-        monkeypatch.setattr(TrajectoryTracker, "note_closure", skip_one_subface)
+        monkeypatch.setattr(TrajectoryTracker, "note_closure", skip_one_key)
         with pytest.raises(VerificationError, match="Y/W identity broken"):
             run(ProcessConfig(n=40, d=2, seed=0, record_every=10))
 

@@ -18,7 +18,7 @@ from corridor_forge.complexes import (
     make_face,
 )
 from corridor_forge.dual import build_dual, is_connected
-from corridor_forge.errors import EmptyDual, InvalidParams
+from corridor_forge.errors import EmptyDual, InvalidParams, VerificationError
 from corridor_forge.gf2 import Gf2Matrix, boundary_matrix, reduced_betti
 
 
@@ -200,6 +200,19 @@ def closed_faces(state) -> set[tuple[int, ...]]:
     """The closed (d-1)-faces of a process state, from the mapped vertices
     alone."""
     return set(closure_rounds(state))
+
+
+def close_face(masks: dict[tuple[int, ...], int], face: tuple[int, ...]):
+    """Enter the sorted face into a closure index keyed by (d-2)-face
+    tuples, one face at a time: for each vertex v of the face, set bit v in
+    the mask of face - {v}. A face that is already closed raises
+    VerificationError. The oracle for the engine's one OR per key."""
+    for i, v in enumerate(face):
+        tau = face[:i] + face[i + 1 :]
+        mask = masks.get(tau, 0)
+        if mask >> v & 1:
+            raise VerificationError(f"face {face} closed twice")
+        masks[tau] = mask | (1 << v)
 
 
 def oracle_snapshot(state) -> dict[str, tuple[int, tuple[int, ...]]]:
