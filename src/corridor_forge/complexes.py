@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice
+from operator import countOf
 
 from .errors import DegenerateFace, InvalidParams
 
@@ -26,7 +27,7 @@ def make_face(vertices) -> Face:
         raise InvalidParams("a face needs at least one vertex")
     if vs[0] < 1:
         raise InvalidParams(f"vertex ids must be positive, got {vs[0]}")
-    if any(a == b for a, b in zip(vs, vs[1:])):
+    if len(set(vs)) < len(vs):
         raise DegenerateFace(f"repeated vertex in {vertices}")
     return vs
 
@@ -81,19 +82,30 @@ def complex_from_facets(faces, n: int | None = None) -> SimplicialComplex:
 
 
 def k_faces(X: SimplicialComplex, k: int) -> set[Face]:
-    """All k-dimensional faces of X (deduplicated subsets of facets)."""
+    """All k-dimensional faces of X (deduplicated subsets of facets). A
+    k-dimensional facet is its own tuple, not a copy."""
     if k < 0:
         raise InvalidParams("k must be nonnegative")
     out: set[Face] = set()
     for facet in X.facets:
-        if len(facet) >= k + 1:
+        if len(facet) == k + 1:
+            out.add(facet)
+        elif len(facet) > k + 1:
             out.update(combinations(facet, k + 1))
     return out
 
 
 def f_vector(X: SimplicialComplex) -> list[int]:
-    """Face counts by dimension, entry k = number of k-faces."""
-    return [len(k_faces(X, k)) for k in range(X.dim + 1)]
+    """Face counts by dimension, entry k = number of k-faces. The top two
+    come from the face index: the d-faces, and the ridges plus the
+    (d-1)-dimensional facets, which lie in no d-face. Only the faces
+    below are listed."""
+    d = X.dim
+    if d == 0:
+        return [len(X.facets)]  # every facet is a vertex
+    index = face_index(X, d)
+    ridges = len(index.holders) + countOf(map(len, X.facets), d)
+    return [len(k_faces(X, k)) for k in range(d - 1)] + [ridges, len(index.faces)]
 
 
 def pack(face, n: int) -> int:
@@ -186,7 +198,30 @@ def ridge_holders(faces, d: int) -> dict[Face, list[int]]:
     return holders
 
 
+@dataclass(frozen=True)
+class FaceIndex:
+    """The d-faces of a complex in sorted order, and the ridge map over
+    their positions (``ridge_holders``)."""
+
+    faces: list[Face]
+    holders: dict[Face, list[int]]
+
+
+def face_index(X: SimplicialComplex, d: int) -> FaceIndex:
+    """The face index of X at d, built on first use. The dual graph, the
+    pseudomanifold check, the f-vector and homology all read it, so the
+    d-faces and their ridges are listed once per complex. It is kept in the
+    instance's __dict__, as functools.cached_property keeps its values, so
+    it lives and dies with X and no two complexes share one."""
+    indexes = vars(X).setdefault("_face_index", {})
+    index = indexes.get(d)
+    if index is None:
+        faces = sorted(k_faces(X, d))
+        index = indexes[d] = FaceIndex(faces=faces, holders=ridge_holders(faces, d))
+    return index
+
+
 def is_pseudomanifold(X: SimplicialComplex, d: int) -> bool:
     """True iff X is pure d-dimensional and every (d-1)-face lies in
     exactly two d-faces."""
-    return X.is_pure(d) and all(len(h) == 2 for h in ridge_holders(X.facets, d).values())
+    return X.is_pure(d) and all(len(h) == 2 for h in face_index(X, d).holders.values())

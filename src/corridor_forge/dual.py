@@ -2,7 +2,7 @@
 
 The dual graph has one node per d-face, with an edge whenever two d-faces
 share a (d-1)-face (a ridge): it joins the holders of each ridge in the
-map ``complexes.ridge_holders`` builds.
+complex's face index (``complexes.face_index``).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from collections.abc import Container
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .complexes import Face, SimplicialComplex, k_faces, ridge_holders
+from .complexes import Face, SimplicialComplex, face_index
 from .errors import EmptyDual, InvalidParams, NotStronglyConnected, RefusedSize
 
 
@@ -34,16 +34,20 @@ class DualGraph:
 
 
 def build_dual(X: SimplicialComplex, d: int) -> DualGraph:
-    """Dual graph on the d-faces of X, in sorted face order."""
-    faces = sorted(k_faces(X, d))
-    if not faces:
+    """Dual graph on the d-faces of X, in sorted face order, read off the
+    face index. Two d-faces share at most one ridge, so no pair is joined
+    twice."""
+    index = face_index(X, d)
+    if not index.faces:
         raise EmptyDual(f"complex has no {d}-faces")
-    adj: list[set[int]] = [set() for _ in faces]
-    for bucket in ridge_holders(faces, d).values():
+    adj: list[list[int]] = [[] for _ in index.faces]
+    for bucket in index.holders.values():
         for i, j in combinations(bucket, 2):
-            adj[i].add(j)
-            adj[j].add(i)
-    return DualGraph(nodes=faces, adj=[sorted(a) for a in adj])
+            adj[i].append(j)
+            adj[j].append(i)
+    for a in adj:
+        a.sort()
+    return DualGraph(nodes=index.faces, adj=adj)
 
 
 def johnson_graph(n: int, k: int) -> DualGraph:
@@ -84,7 +88,8 @@ def diameter(g: DualGraph) -> int:
     down, every pair not yet covered has both ends on level <= i and so
     lies within distance 2i: the walk stops once lb >= 2i and otherwise
     raises lb to the eccentricity of the next node. Long, thin duals need a
-    handful of BFS runs.
+    handful of BFS runs, and a path needs only the double sweep: lb = nv - 1
+    is the longest a shortest path on nv nodes can be.
     """
     nv = g.num_nodes
     if nv <= 1:
@@ -96,6 +101,8 @@ def diameter(g: DualGraph) -> int:
     dist_a = _bfs_distances(g, a)
     b = max(range(nv), key=dist_a.__getitem__)
     lb = dist_a[b]
+    if lb == nv - 1:
+        return lb  # no path on nv nodes is longer: every induced path ends here
     u = b
     while dist_a[u] > lb // 2:
         u = next(x for x in g.adj[u] if dist_a[x] == dist_a[u] - 1)
@@ -141,10 +148,14 @@ def maximum_flow(
     enters v. Each BFS starts at the source's exit and stops at the first
     free sink it reaches, so on a graph where sinks lie close by it stays
     local. A sink ends its path: the search never leaves through one.
+
+    The source's edges into sinks are paths of their own, so they are taken
+    first, up to limit, and the searches augment from that flow.
     """
-    pred: dict[int, int] = {}
+    direct = [w for w in adj[source] if w in sinks][:limit]
+    pred = dict.fromkeys(direct, source)
     start = 2 * source + 1
-    for flow in range(limit):
+    for flow in range(len(direct), limit):
         parent = {start: start}
         queue = deque([start])
         end = None

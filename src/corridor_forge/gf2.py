@@ -4,14 +4,14 @@ A ``Gf2Matrix`` holds one Python int bitmask per row, built by
 ``_boundary_rows`` alone; ``rank_gf2`` eliminates by word-level XOR.
 Homology ranks ∂_1, always graphic (the 1-skeleton), and the top boundary
 ∂_d of every pseudomanifold and corridor image, whose ridges lie in one
-or two facets (``complexes.ridge_holders``), by union-find over index
-pairs, with no bit rows. Their spanning forests cut the boundaries in
-between down to cotree rows (∂_2) and non-forest columns (∂_{d-1})
-before those are built as bit rows for rank_gf2; at d = 2 nothing is left
-in between. Homology is reduced: dimension 0 is augmented by the
-empty face, so a single simplex has all reduced Betti numbers zero. Each
-complex computes its face counts and boundary ranks once; every Betti
-number is read from that record.
+or two facets (the ridge map of ``complexes.face_index``), by union-find
+over index pairs, with no bit rows. Their spanning forests cut the
+boundaries in between down to cotree rows (∂_2) and non-forest columns
+(∂_{d-1}) before those are built as bit rows for rank_gf2; at d = 2
+nothing is left in between. Homology is reduced: dimension 0 is
+augmented by the empty face, so a single simplex has all reduced Betti
+numbers zero. Each complex computes its face counts and boundary ranks
+once; every Betti number is read from that record.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import Face, SimplicialComplex, k_faces, ridge_holders
+from .complexes import Face, SimplicialComplex, face_index, k_faces
 from .errors import InvalidParams
 
 
@@ -93,11 +93,11 @@ def boundary_matrix(X: SimplicialComplex, k: int) -> Gf2Matrix:
 def _counts_and_ranks(X: SimplicialComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Face counts f_0..f_d and ranks of ∂_0..∂_{d+1} of X, d = dim X.
 
-    ∂_d: complexes.ridge_holders maps each (d-1)-face (ridge) to the
-    d-faces that hold it. If none has three, ∂_d is the incidence matrix of
-    a graph on the d-faces and a ground node (a ridge in two d-faces joins
-    them, a ridge in one joins it to the ground), ranked by a spanning
-    forest. ∂_1 always is one: the 1-skeleton, over the vertices.
+    ∂_d: the face index (complexes.face_index) maps each (d-1)-face
+    (ridge) to the d-faces that hold it. If none has three, ∂_d is the
+    incidence matrix of a graph on the d-faces and a ground node (a ridge
+    in two d-faces joins them, a ridge in one joins it to the ground),
+    ranked by a spanning forest. ∂_1 always is one: the 1-skeleton, over the vertices.
 
     The boundaries in between go to rank_gf2 cut down, each cut keeping the
     rank. ∂_2 keeps only the rows of cotree edges, those outside the
@@ -114,12 +114,13 @@ def _counts_and_ranks(X: SimplicialComplex) -> tuple[tuple[int, ...], tuple[int,
     ranks = [1] + [0] * (d + 1)  # ∂_0, the augmentation, has rank 1
     if d == 0:
         return (len(vertices),), tuple(ranks)
-    top = [f for f in X.facets if len(f) == d + 1]
+    index = face_index(X, d)
+    top = index.faces
     faces = {d: top, d - 1: [f for f in X.facets if len(f) == d]}  # the ridges in no d-face
     columns: dict[int, list[Face]] = {}  # ∂_k's columns where a forest cuts them
     graphic = d == 1  # then ∂_d is ∂_1
     if d >= 2:
-        holders = ridge_holders(top, d)
+        holders = index.holders
         graphic = all(len(h) <= 2 for h in holders.values())
         if graphic:
             ground = len(top)

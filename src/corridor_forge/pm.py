@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .complexes import boundary_corridor_diameter, is_pseudomanifold
+from .complexes import SimplicialComplex, boundary_corridor_diameter, is_pseudomanifold
 from .corridor import ProcessConfig, ProcessSpec, RunReport, run
 from .dual import caccetta_smyth_bound
 from .errors import InvalidParams, VerificationError
@@ -75,7 +75,9 @@ def pm_run(config: PmConfig) -> PmRunReport:
     and the Caccetta-Smyth bound on its facets at connectivity d+1."""
     report = run(config)
     d = config.d
-    if not is_pseudomanifold(report.image, d):
+    # checked on a twin, so no face index stays on the report's image
+    twin = SimplicialComplex(n=report.image.n, facets=report.image.facets)
+    if not is_pseudomanifold(twin, d):
         raise VerificationError("assembled image is not a pseudomanifold")
     m = config.spec.width(d) + 1 + report.steps
     lower = pm_diameter_lower(m, d)

@@ -1,10 +1,14 @@
+import random
+from functools import cache
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corridor_forge import complexes
 from corridor_forge.complexes import (
+    SimplicialComplex,
     boundary_corridor,
     complex_from_facets,
     f_vector,
@@ -13,11 +17,16 @@ from corridor_forge.complexes import (
     make_face,
     ridge_holders,
 )
+from corridor_forge.corridor import ProcessConfig, run
 from corridor_forge.errors import DegenerateFace, InvalidParams
+from corridor_forge.experiments import analyze_complex
+from corridor_forge.gf2 import betti_numbers
+from corridor_forge.pm import PmConfig, pm_run
 from util import (
     boundary_complex_of_simplex,
     corridor_face_count,
     oracle_maximal_facets,
+    random_small_complex,
     straight_corridor,
 )
 
@@ -220,3 +229,55 @@ class TestDominationOracle:
     @given(candidate_facets(same_size=True))
     def test_same_size_matches_oracle(self, faces):
         assert complex_from_facets(faces).facets == oracle_maximal_facets(faces)
+
+
+@cache
+def run_image(kind, n, d):
+    config = PmConfig(n=n, d=d, seed=1) if kind == "pm" else ProcessConfig(n=n, d=d, seed=1)
+    return (pm_run if kind == "pm" else run)(config).image
+
+
+def oracle_pseudomanifold(X, d):
+    """Pure at d, and each (d-1)-subset of a d-face lies in exactly two
+    facets, counted against every facet."""
+    top = [f for f in X.facets if len(f) == d + 1]
+    ridges = {r for f in top for r in combinations(f, d)}
+    return len(top) == len(X.facets) and all(
+        sum(set(r) <= set(f) for f in X.facets) == 2 for r in ridges
+    )
+
+
+@st.composite
+def indexed_complexes(draw):
+    """A fresh complex: random, pure or not, of dimension 0 to 3, or a twin
+    of a corridor or pm image at (30, 2) or (20, 3)."""
+    image = st.sampled_from([(k, n, d) for k in ("corridor", "pm") for n, d in ((30, 2), (20, 3))])
+    X = draw(st.one_of(
+        st.builds(random_small_complex, st.integers(0, 2**32).map(random.Random),
+                  st.integers(1, 3), st.integers(4, 9)),
+        candidate_facets(same_size=True).map(complex_from_facets),
+        image.map(lambda key: run_image(*key)),
+    ))
+    return SimplicialComplex(n=X.n, facets=X.facets)
+
+
+class TestFaceIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(indexed_complexes())
+    def test_readers_match_listing(self, X):
+        assert f_vector(X) == [len(k_faces(X, k)) for k in range(X.dim + 1)]
+        for d in range(X.dim + 1):
+            assert is_pseudomanifold(X, d) == oracle_pseudomanifold(X, d)
+
+    def test_built_once_per_instance(self, monkeypatch):
+        X = run_image("pm", 30, 2)
+        X = SimplicialComplex(n=X.n, facets=X.facets)
+        calls = []
+        real = complexes.ridge_holders
+        monkeypatch.setattr(complexes, "ridge_holders", lambda f, d: calls.append(d) or real(f, d))
+        report, betti = analyze_complex(X), betti_numbers(X)
+        assert calls == [2]
+        # a twin with the same facets builds its own
+        twin = SimplicialComplex(n=X.n, facets=X.facets)
+        assert (analyze_complex(twin), betti_numbers(twin)) == (report, betti)
+        assert calls == [2, 2]

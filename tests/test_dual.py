@@ -292,6 +292,17 @@ class TestBfsBudget:
         assert diameter(g) == want
         assert len(calls) <= 16
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_path_needs_only_the_double_sweep(self, monkeypatch, d):
+        # the sweep already reaches nv - 1, the most a path on nv nodes has
+        g = build_dual(straight_corridor(d, 60), d)
+        calls = []
+        monkeypatch.setattr(
+            dual, "_bfs_distances", lambda graph, s: calls.append(s) or _bfs_distances(graph, s)
+        )
+        assert diameter(g) == g.num_nodes - 1 == oracle_diameter(g)
+        assert len(calls) == 2
+
 
 class TestBoundaryCorridorDiameter:
     """Each step of the proof in boundary_corridor_diameter's docstring."""

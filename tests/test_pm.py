@@ -2,8 +2,13 @@ import math
 
 import pytest
 
-from corridor_forge import corridor, dual, pm
-from corridor_forge.complexes import boundary_corridor, boundary_corridor_diameter, f_vector
+from corridor_forge import complexes, corridor, dual, pm
+from corridor_forge.complexes import (
+    boundary_corridor,
+    boundary_corridor_diameter,
+    f_vector,
+    is_pseudomanifold,
+)
 from corridor_forge.corridor import (
     CORRIDOR,
     ProcessSpec,
@@ -161,6 +166,17 @@ class TestRun:
         fv = f_vector(report.image)
         assert 2 * fv[2] == 4 * fv[3]
         assert report.dual_diameter >= report.diameter_lower
+
+    def test_check_leaves_no_face_index_on_the_image(self, monkeypatch):
+        # the pseudomanifold check indexes a twin, so no ridge map stays
+        # beside the report: the image's own first check builds one
+        calls = []
+        real = complexes.ridge_holders
+        monkeypatch.setattr(complexes, "ridge_holders", lambda f, d: calls.append(d) or real(f, d))
+        report = pm_run(PmConfig(n=40, d=2, seed=2))
+        assert calls == [2]
+        assert is_pseudomanifold(report.image, 2)
+        assert calls == [2, 2]
 
     def test_recording_does_not_change_run(self):
         plain = pm_run(PmConfig(n=40, d=2, seed=5, compute_diameter=False))
