@@ -61,7 +61,8 @@ def scan_available(
 ) -> tuple[int, BitChoices]:
     """(count of vertices in [n] that close no closed face with any tau,
     those vertices additionally outside the bitmask ``recent`` as sorted
-    choices).
+    choices): the scan of one state, for callers outside the engine loop,
+    which inlines it.
 
     ``keys`` are the packed (d-2)-faces tau of the window. The count
     excludes the window without a mask of its own: the start closes every

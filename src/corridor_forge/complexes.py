@@ -41,7 +41,7 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        return max(len(f) for f in self.facets) - 1
+        return max(map(len, self.facets)) - 1
 
     def is_pure(self, d: int) -> bool:
         return all(len(f) == d + 1 for f in self.facets)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, ClassVar
 
-from .closure import BitChoices, closed_twice, scan_available
+from .closure import BitChoices, closed_twice
 from .complexes import Face, SimplicialComplex, k_faces, pack, window_faces
 from .errors import InvalidParams, OutOfRegime, VerificationError
 from .trajectory import (
@@ -179,17 +179,19 @@ class ProcessState:
     rng: random.Random
     tracker: TrajectoryTracker | None = None
     first_low_step: int | None = None
-    # bitmask of the previous 2w images, phi[-2w:], kept by step
+    # bitmask of the previous 2w images, phi[-2w:], and the sorted
+    # window phi[-w:], kept by the engine loop
     recent: int = 0
+    window: list[int] = field(default_factory=list)
     # positions of the window's (d-2)-faces in the sorted window, and
     # _cone_positions(w, d), fixed for the run by init
     tau_positions: list[tuple[int, ...]] = field(default_factory=list)
     cone_positions: list[list[tuple[int, ...]]] = field(default_factory=list)
-    # the scan of this state, set by _scan: |X_k|, the choices for the
-    # next vertex, the sorted window and its (d-2)-faces tau, packed
+    # the scan of this state, set by the engine loop: |X_k|, the choices
+    # for the next vertex (None before the first scan) and the window's
+    # (d-2)-faces tau, packed
     available: int = 0
-    choices: BitChoices = BitChoices(0)
-    window: list[int] = field(default_factory=list)
+    choices: BitChoices | None = None
     taus: list[int] = field(default_factory=list)
 
 
@@ -249,8 +251,9 @@ def default_tracked_family(config: ProcessConfig) -> list[TrackedComplex]:
 
 def init(config: ProcessConfig) -> ProcessState:
     """Choose the w+1 starting vertices uniformly, close their C(w+1, d)
-    (d-1)-faces at round 0 (each start vertex against the ones before it)
-    and scan the start."""
+    (d-1)-faces at round 0 and scan the start. Each d-subset of the start
+    is a (d-2)-face tau of it plus one more start vertex, so tau's mask is
+    the start's bits minus its own."""
     config.validate()
     n, d = config.n, config.d
     w = config.spec.width(d)
@@ -258,19 +261,21 @@ def init(config: ProcessConfig) -> ProcessState:
     start = rng.sample(range(1, n + 1), w + 1)
     state = ProcessState(
         config=config, phi=list(start), masks={}, step=0, rng=rng,
-        recent=sum(1 << v for v in start),
+        recent=sum(1 << v for v in start), window=sorted(start[1:]),
         tau_positions=list(combinations(range(w), d - 1)),
         cone_positions=_cone_positions(w, d),
     )
+    tracker = None
     if config.record_every > 0:
-        state.tracker = TrajectoryTracker(
+        tracker = state.tracker = TrajectoryTracker(
             n, config.spec.period(d), default_tracked_family(config), state.masks
         )
-    for k, v in enumerate(start):
-        window = sorted(start[:k])
-        taus = [pack(tau, n) for tau in combinations(window, d - 1)]
-        _close(state, v, window, taus, _cone_positions(k, d), 0)
-    _scan(state)
+    for tau in combinations(sorted(start), d - 1):
+        key, bits = pack(tau, n), state.recent - sum(1 << v for v in tau)
+        state.masks[key] = bits
+        if tracker is not None:
+            tracker.note_closure(key, bits, 0)
+    _advance(state, 0)
     return state
 
 
@@ -283,90 +288,117 @@ def _cone_positions(k: int, d: int) -> list[list[tuple[int, ...]]]:
     ]
 
 
-def _close(state: ProcessState, v: int, window: list[int], taus: list[int],
-           cone_positions: list[list[tuple[int, ...]]], round_no: int):
-    """Close tau + {v} for each tau in C(window, d-1) with one OR per
-    closure-index key, noting each key's new bits to the tracker. ``window``
-    is sorted, ``taus`` are its (d-2)-faces packed, and ``cone_positions``
-    is _cone_positions(len(window), d). Each tau gets bit v, and rho + {v},
-    for each rho in C(window, d-2), gets the window's bits minus rho's. A
-    new bit that is already set is a face closed twice and raises
-    VerificationError."""
-    n, d = state.config.n, state.config.d
-    base = n + 1
-    masks, tracker = state.masks, state.tracker
-    bit = 1 << v
-    for key in taus:
-        mask = masks.get(key, 0)
-        if mask & bit:
-            closed_twice(key, bit, n, d)
-        masks[key] = mask | bit
-        if tracker is not None:
-            tracker.note_closure(key, bit, round_no)
-    r = bisect_left(window, v)
-    merged = [*window[:r], v, *window[r:]]
-    merged_bits = 0
-    for u in merged:
-        merged_bits |= 1 << u
-    for positions in cone_positions[r]:
-        # pack rho + {v} (complexes.pack inlined, as in _scan); its bits are
-        # the merged ones minus its own
-        key, bits = 0, merged_bits
-        for i in positions:
-            u = merged[i]
-            key = key * base + u
-            bits ^= 1 << u
-        mask = masks.get(key, 0)
-        if mask & bits:
-            closed_twice(key, mask & bits, n, d)
-        masks[key] = mask | bits
-        if tracker is not None:
-            tracker.note_closure(key, bits, round_no)
+def _advance(state: ProcessState, limit: int | None) -> int:
+    """The engine loop: make up to ``limit`` steps (None: until no vertex is
+    eligible) and return how many it made. It keeps the state in locals
+    and writes it back when it returns, always at a scanned state.
 
+    Each iteration first scans the state, unless its scan is current: it
+    packs the window's taus, ORs their masks into the blocked vertices and
+    takes |X_k| and the choices as two popcounts. X_k is the vertices
+    outside the window that close no closed face with it (each d-subset of
+    the window is closed, so the window blocks itself); the choices also
+    exclude the previous 2w images. Then it draws v, the k-th smallest
+    choice, and closes tau + {v} for each tau with one OR per closure-index
+    key: each tau gets bit v, and rho + {v}, for each rho in C(window,
+    d-2), the window's bits minus rho's. A new bit that is already set is
+    a face closed twice and raises VerificationError. The tracker hears of
+    the keys it tracks. The window then takes v in and lets its oldest
+    vertex go.
 
-def _scan(state: ProcessState):
-    """Scan the state once, from the closure index: the window's taus,
-    |X_k| and the choices. X_k is the set of vertices outside the window
-    that close no already-closed face; the choices further exclude the
-    images of the previous 2w mapped vertices."""
+    ``state.choices`` may be replaced by any vertices; the next step
+    draws from them."""
     cfg = state.config
-    base = cfg.n + 1
-    window = sorted(state.phi[-cfg.spec.width(cfg.d) :])
-    # complexes.pack inlined: a call per key costs a fifth of simulate
-    taus = []
-    for positions in state.tau_positions:
-        key = 0
-        for i in positions:
-            key = key * base + window[i]
-        taus.append(key)
-    state.window, state.taus = window, taus
-    state.available, state.choices = scan_available(
-        n=cfg.n, masks=state.masks, keys=taus, recent=state.recent
-    )
-    if state.first_low_step is None and state.available <= 2 * len(window):
-        state.first_low_step = state.step
+    n, d = cfg.n, cfg.d
+    base = n + 1
+    everything = (1 << base) - 2  # the bits of [n]
+    masks, phi, tracker = state.masks, state.phi, state.tracker
+    tracked = () if tracker is None else tracker.index
+    randrange = state.rng.randrange
+    tau_positions, cone_positions = state.tau_positions, state.cone_positions
+    window = list(state.window)
+    w = len(window)
+    window_bits = sum(1 << u for u in window)
+    back = 2 * w + 1  # phi[-back] leaves the previous 2w images
+    i, recent, first_low = state.step, state.recent, state.first_low_step
+    taus, available, choices = state.taus, state.available, state.choices
+    if choices is None:
+        bits = None
+    elif isinstance(choices, BitChoices):
+        bits = choices.bits
+    else:
+        bits = sum(1 << v for v in set(choices))
+    made = 0
+    while True:
+        if bits is None:
+            blocked, taus = 0, []
+            for positions in tau_positions:
+                # complexes.pack inlined: a call per key costs a fifth of simulate
+                key = 0
+                for p in positions:
+                    key = key * base + window[p]
+                taus.append(key)
+                blocked |= masks.get(key, 0)
+            avail = everything & ~blocked
+            available, bits = avail.bit_count(), avail & ~recent
+            if first_low is None and available <= 2 * w:
+                first_low = i
+        if made == limit or not bits:
+            break
+        # BitChoices.__getitem__ inlined: fewer than k+1 set bits below lo,
+        # at least k+1 below hi
+        size = bits.bit_count()
+        above = size - randrange(size)
+        lo, hi = 0, bits.bit_length()
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            if (bits >> mid).bit_count() >= above:
+                lo = mid
+            else:
+                hi = mid
+        v, bit = lo, 1 << lo
+        i += 1
+        for key in taus:
+            mask = masks.get(key, 0)
+            if mask & bit:
+                closed_twice(key, bit, n, d)
+            masks[key] = mask | bit
+            if key in tracked:
+                tracker.note_closure(key, bit, i)
+        r = bisect_left(window, v)
+        window.insert(r, v)
+        window_bits |= bit
+        for positions in cone_positions[r]:
+            key, face_bits = 0, window_bits
+            for p in positions:
+                u = window[p]
+                key = key * base + u
+                face_bits ^= 1 << u
+            mask = masks.get(key, 0)
+            if mask & face_bits:
+                closed_twice(key, mask & face_bits, n, d)
+            masks[key] = mask | face_bits
+            if key in tracked:
+                tracker.note_closure(key, face_bits, i)
+        oldest = phi[-w]
+        window.remove(oldest)
+        window_bits ^= 1 << oldest
+        phi.append(v)
+        recent |= bit
+        if len(phi) >= back:
+            recent ^= 1 << phi[-back]
+        bits = None
+        made += 1
+    state.step, state.recent, state.first_low_step = i, recent, first_low
+    state.window, state.taus, state.available = window, taus, available
+    state.choices = BitChoices(bits)
+    return made
 
 
 def step(state: ProcessState) -> bool:
-    """Advance one step: draw v from the state's choices, close tau + {v}
-    for the state's C(w, d-1) taus, then scan the new state. Returns False
-    when there is no choice."""
-    choices = state.choices
-    size = len(choices)
-    if not size:
-        return False
-    v = choices[state.rng.randrange(size)]
-    window, phi = state.window, state.phi
-    _close(state, v, window, state.taus, state.cone_positions, state.step + 1)
-    phi.append(v)
-    recent = state.recent | 1 << v
-    back = 2 * len(window) + 1
-    if len(phi) >= back:
-        recent ^= 1 << phi[-back]  # it leaves the previous 2w images
-    state.recent = recent
-    state.step += 1
-    _scan(state)
-    return True
+    """Advance one step and scan the new state; False when no vertex is
+    eligible."""
+    return _advance(state, 1) == 1
 
 
 def _record(state: ProcessState) -> TrajectoryRecord:
@@ -394,14 +426,17 @@ def _record(state: ProcessState) -> TrajectoryRecord:
 
 def simulate(config: ProcessConfig) -> tuple[ProcessState, list[TrajectoryRecord]]:
     """Run the process of ``config.spec`` to exhaustion, scanning once per
-    state; every record_every steps, record the tracked statistics."""
+    state, in runs of record_every steps: the tracked statistics are
+    recorded at the start of each run."""
     state = init(config)
     records: list[TrajectoryRecord] = []
     stride = config.record_every
+    if not stride:
+        _advance(state, None)
+        return state, records
     while True:
-        if stride > 0 and state.step % stride == 0:
-            records.append(_record(state))
-        if not step(state):
+        records.append(_record(state))
+        if _advance(state, stride) < stride:
             return state, records
 
 

@@ -4,7 +4,7 @@ The JSON complex object {"n": ..., "d": ..., "facets": [[...], ...]} with
 sorted facets and sorted vertices is the interchange unit for every CLI
 command. COMPLEX_SCHEMA and REPORT_SCHEMA document the complex and run
 report formats; check_complex and check_report enforce exactly their
-constraints in one pass, on both read and write, once per object (a run
+constraints in linear time, on both read and write, once per object (a run
 report's image is checked as part of the report). Trajectory CSVs have
 fixed, documented columns (see CSV_COLUMNS).
 """
@@ -14,6 +14,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+from functools import partial
+from itertools import chain
 
 from .complexes import SimplicialComplex, complex_from_facets
 from .corridor import ProcessConfig, RunReport, TrajectoryRecord
@@ -81,7 +83,7 @@ def _check_array(x, at: str):
 
 
 def check_complex(obj, at: str = "") -> None:
-    """Enforce COMPLEX_SCHEMA on obj in one pass. A failure raises
+    """Enforce COMPLEX_SCHEMA on obj in linear time. A failure raises
     InvalidParams naming the failing location below `at`, e.g.
     "facets[3][0]: 0 is less than the minimum of 1"."""
     _check_object(obj, at, COMPLEX_SCHEMA["required"])
@@ -93,6 +95,17 @@ def check_complex(obj, at: str = "") -> None:
     _check_int(obj["d"], prefix + "d", 0)
     facets = obj["facets"]
     _check_array(facets, prefix + "facets")
+    # C-level passes over the common valid case: every facet a non-empty
+    # list and every vertex an int (not a bool), the least at least 1; on
+    # any failure the walk finds and names the first bad place
+    vertices = chain.from_iterable
+    if (
+        {*map(type, facets)} == {list}
+        and all(facets)
+        and {*map(type, vertices(facets))} == {int}
+        and min(vertices(facets)) >= 1
+    ):
+        return
     for i, facet in enumerate(facets):
         _check_array(facet, f"{prefix}facets[{i}]")
         for j, v in enumerate(facet):
@@ -101,7 +114,7 @@ def check_complex(obj, at: str = "") -> None:
 
 
 def check_report(obj) -> None:
-    """Enforce REPORT_SCHEMA on obj in one pass, ending with its image;
+    """Enforce REPORT_SCHEMA on obj in linear time, ending with its image;
     failures are reported as by check_complex."""
     _check_object(obj, "", REPORT_SCHEMA["required"])
     modes = REPORT_SCHEMA["properties"]["mode"]["enum"]
@@ -176,29 +189,45 @@ def load_complex(path: str) -> SimplicialComplex:
         raise InvalidParams(f"{path} is not {kind}: {err}") from None
 
 
-def _finite_or_none(x: float) -> float | None:
-    return x if math.isfinite(x) else None
+class _Texts(dict):
+    """One write's memo of value -> text: each distinct value is formatted
+    once, by ``fmt``. Zeros are not kept, as 0.0 == -0.0 while their texts
+    differ."""
+
+    __slots__ = ("fmt",)
+
+    def __init__(self, fmt):
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, x):
+        text = self.fmt(x)
+        if x:
+            self[x] = text
+        return text
 
 
-def _record_to_dict(rec: TrajectoryRecord) -> dict:
-    entries = {}
-    for name, e in sorted(rec.entries.items()):
-        band = _finite_or_none(e.band)
-        entries[name] = {
-            "size": e.size,
-            "y": e.y,
-            "w": list(e.w),
-            "pred": e.pred,
-            "band": band,
-            "z": None if band is None else list(e.z),
-        }
-    return {
-        "step": rec.step,
-        "t": rec.t,
-        "p": rec.p,
-        "terminal_y": rec.terminal_y,
-        "entries": entries,
-    }
+def _trajectory_json(records: list[TrajectoryRecord]) -> str:
+    """The records as json.dumps writes them with sorted keys and no
+    spaces, each float and tracked-complex name formatted once. A record's
+    band and Z values are null once the band is not finite."""
+    text = _Texts(json.dumps).__getitem__
+    out = []
+    for rec in records:
+        entries = []
+        for name, e in sorted(rec.entries.items()):
+            band = z = "null"
+            if math.isfinite(e.band):
+                band, z = text(e.band), f"[{','.join(map(text, e.z))}]"
+            entries.append(
+                f'{text(name)}:{{"band":{band},"pred":{text(e.pred)},"size":{e.size},'
+                f'"w":[{",".join(map(str, e.w))}],"y":{e.y},"z":{z}}}'
+            )
+        out.append(
+            f'{{"entries":{{{",".join(entries)}}},"p":{text(rec.p)},"step":{rec.step},'
+            f'"t":{text(rec.t)},"terminal_y":{rec.terminal_y}}}'
+        )
+    return f"[{','.join(out)}]"
 
 
 def _config_to_dict(cfg: ProcessConfig) -> dict:
@@ -218,10 +247,11 @@ def _config_to_dict(cfg: ProcessConfig) -> dict:
     return out
 
 
-def report_to_dict(report: RunReport) -> dict:
-    """The report as a JSON-ready dict, checked once against
-    REPORT_SCHEMA; keys are sorted when written. The mode is the process
-    of the report's config; the pm fields come with pm_run's report."""
+def _report_fields(report: RunReport) -> dict:
+    """Every field of the report but its trajectory, checked once against
+    REPORT_SCHEMA (which leaves the trajectory unchecked). The mode is the
+    process of the report's config; the pm fields come with pm_run's
+    report."""
     obj = {
         "config": _config_to_dict(report.config),
         "steps": report.steps,
@@ -229,7 +259,6 @@ def report_to_dict(report: RunReport) -> dict:
         "first_band_exit": report.first_band_exit,
         "termination": "exhausted",  # every run ends when no vertex is eligible
         "image": _complex_obj(report.image),
-        "trajectory": [_record_to_dict(r) for r in report.records],
     }
     if isinstance(report.config, PmConfig):
         obj["mode"] = "pm"
@@ -251,8 +280,14 @@ def report_to_dict(report: RunReport) -> dict:
 
 
 def report_json(report: RunReport) -> str:
-    """Canonical, byte-stable JSON serialization of a run report."""
-    return json.dumps(report_to_dict(report), sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical, byte-stable JSON serialization of a run report: sorted
+    keys and no spaces. json.dumps writes every field but the trajectory,
+    which is spliced in at its sorted place."""
+    obj = _report_fields(report)
+    after = {key: obj.pop(key) for key in sorted(obj) if key > "trajectory"}
+    dump = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    head = dump(obj)[:-1] + ',"trajectory":' + _trajectory_json(report.records)
+    return head + ("," + dump(after)[1:] if after else "}") + "\n"
 
 
 def csv_columns(period: int) -> list[str]:
@@ -266,32 +301,22 @@ def write_trajectory_csv(records: list[TrajectoryRecord], config: ProcessConfig,
     """One row per (recorded step, tracked complex), plus a row for the
     terminal statistic, the candidate count (A_id 'terminal', W/Z columns
     empty). Its size_A is the C(w, d-1) window faces that block each
-    candidate, so its Y_pred is n p^C(w, d-1)."""
+    candidate, so its Y_pred is n p^C(w, d-1). Band and Z columns are empty
+    once the band is not finite. Each float is formatted once per write, as
+    the csv module formats it, and t and p once per record."""
     n, d, spec = config.n, config.d, config.spec
     period, size_term = spec.period(d), spec.rate(d)
+    text = _Texts(repr).__getitem__
+    no_w_z, no_z = [""] * (2 * period), [""] * period
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(csv_columns(period))
         for rec in records:
-            pred_term = predicted_y(n, rec.p, size_term)
-            writer.writerow(
-                [rec.step, rec.t, rec.p, "terminal", size_term, rec.terminal_y, pred_term, ""]
-                + [""] * (2 * period)
-            )
+            head = [rec.step, repr(rec.t), repr(rec.p)]
+            pred_term = text(predicted_y(n, rec.p, size_term))
+            writer.writerow([*head, "terminal", size_term, rec.terminal_y, pred_term, "", *no_w_z])
             for name, e in sorted(rec.entries.items()):
-                band = _finite_or_none(e.band)
-                z = list(e.z) if band is not None else [""] * period
-                writer.writerow(
-                    [
-                        rec.step,
-                        rec.t,
-                        rec.p,
-                        name,
-                        e.size,
-                        e.y,
-                        e.pred,
-                        band if band is not None else "",
-                    ]
-                    + list(e.w)
-                    + z
-                )
+                band, z = "", no_z
+                if math.isfinite(e.band):
+                    band, z = text(e.band), map(text, e.z)
+                writer.writerow([*head, name, e.size, e.y, text(e.pred), band, *e.w, *z])

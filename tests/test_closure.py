@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corridor_forge import corridor
-from corridor_forge.closure import BitChoices
+from corridor_forge.closure import BitChoices, scan_available
 from corridor_forge.complexes import pack
 from corridor_forge.corridor import ProcessConfig, init, simulate, step, verify_process
 from corridor_forge.errors import VerificationError
@@ -49,6 +49,8 @@ def assert_scan_matches(state):
     taus, want_count, want = oracle_scan(state)
     assert state.taus == [pack(tau, state.config.n) for tau in taus]
     assert count == want_count
+    assert scan_available(n=state.config.n, masks=state.masks, keys=state.taus,
+                          recent=state.recent)[0] == count
     assert len(choices) == len(want)
     assert list(choices) == want
     assert [choices[k] for k in range(len(choices))] == want
@@ -72,6 +74,43 @@ def test_scan_matches_linear_oracle(config_cls, d, extra_n, seed, prefix):
         if not step(state):
             break
         assert_scan_matches(state)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    config_cls=st.sampled_from([ProcessConfig, PmConfig]),
+    d=st.sampled_from([2, 3, 4]),
+    extra_n=st.integers(0, 10),
+    seed=st.integers(0, 2**32 - 1),
+    record_every=st.sampled_from([0, 1, 3, 7]),
+)
+def test_simulate_matches_single_steps(config_cls, d, extra_n, seed, record_every):
+    # simulate runs the engine loop record_every steps at a time (to the
+    # end at 0) and writes the state back at each run's end; one step at a
+    # time, every state is written back, so both must give the same run
+    w = config_cls.spec.width(d)
+    n = w + 2 + extra_n
+    config = config_cls(n=n, d=d, seed=seed, record_every=record_every,
+                        track_link=n >= 2 * w, allow_small_n=True)
+    state, records = simulate(config)
+    single, single_records, first_low = init(config), [], None
+    while True:
+        assert_scan_matches(single)
+        if first_low is None and single.available <= 2 * w:
+            first_low = single.step
+        assert single.first_low_step == first_low
+        if record_every and single.step % record_every == 0:
+            single_records.append(corridor._record(single))
+        if not step(single):
+            break
+    assert single.phi == state.phi
+    assert single.masks == state.masks
+    assert single.first_low_step == state.first_low_step
+    assert single_records == records
+    assert single.available == state.available
+    assert list(single.choices) == list(state.choices) == []
+    if record_every:
+        assert single.tracker.w == state.tracker.w
 
 
 def oracle_masks(state) -> dict[int, int]:

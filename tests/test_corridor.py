@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -121,16 +122,35 @@ class TestStep:
         ],
     )
     def test_one_scan_per_state(self, monkeypatch, process, cfg):
-        calls = []
-        real = corridor.scan_available
+        # in the engine loop, a scan reads the masks of the window's
+        # C(w, d-1) taus and writes none, and a step reads and writes each
+        # key it closes once. So the loop's reads less its writes are
+        # C(w, d-1) per scan: steps + 1 states, each scanned once, make
+        # (steps + 1) C(w, d-1), and a rescan adds more
+        loop = corridor._advance.__code__
+        counts = {"reads": 0, "writes": 0}
 
-        def counting(**kwargs):
-            calls.append(kwargs["n"])
-            return real(**kwargs)
+        class CountingMasks(dict):
+            def get(self, key, default=None):
+                if sys._getframe(1).f_code is loop:
+                    counts["reads"] += 1
+                return super().get(key, default)
 
-        monkeypatch.setattr(corridor, "scan_available", counting)
+            def __setitem__(self, key, value):
+                if sys._getframe(1).f_code is loop:
+                    counts["writes"] += 1
+                super().__setitem__(key, value)
+
+        real_state = corridor.ProcessState
+
+        def counting_state(**kwargs):
+            return real_state(**{**kwargs, "masks": CountingMasks()})
+
+        monkeypatch.setattr(corridor, "ProcessState", counting_state)
         report = process(cfg)
-        assert len(calls) == report.steps + 1
+        scan = math.comb(cfg.spec.width(cfg.d), cfg.d - 1)
+        assert counts["writes"] > 0
+        assert counts["reads"] - counts["writes"] == (report.steps + 1) * scan
 
     def test_recording_does_not_change_run(self):
         plain = run(ProcessConfig(n=40, d=2, seed=5))

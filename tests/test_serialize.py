@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 
 import jsonschema
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from corridor_forge import serialize
 from corridor_forge.complexes import SimplicialComplex, boundary_corridor
-from corridor_forge.corridor import ProcessConfig, run
+from corridor_forge.corridor import ProcessConfig, TrajectoryEntry, TrajectoryRecord, run
 from corridor_forge.errors import InvalidParams
 from corridor_forge.pm import PmConfig, pm_run
 from corridor_forge.serialize import (
@@ -22,11 +23,16 @@ from corridor_forge.serialize import (
     csv_columns,
     load_complex,
     report_json,
-    report_to_dict,
     save_complex,
     write_trajectory_csv,
 )
-from util import straight_corridor
+from util import (
+    oracle_check_complex,
+    oracle_report_json,
+    oracle_write_trajectory_csv,
+    report_to_dict,
+    straight_corridor,
+)
 
 
 class TestComplexRoundTrip:
@@ -230,6 +236,120 @@ class TestCheckAgainstJsonschema:
         obj["image"]["facets"][3][0] = 0
         with pytest.raises(InvalidParams, match=r"^image\.facets\[3\]\[0\]: 0 is less than"):
             check_report(obj)
+
+
+def _message(check, obj, at):
+    try:
+        check(obj, at)
+    except InvalidParams as err:
+        return str(err)
+    return None
+
+
+# what a complex's facets or vertices get replaced by: a 0, a bool, a
+# float, an empty facet and non-lists
+MUTANTS = st.sampled_from([0, -1, True, False, 1.0, 2.5, [], [0], "x", None, (1, 2), {"a": 1}])
+
+
+class TestCheckComplexPasses:
+    """check_complex's C-level passes and the walk give the same verdict,
+    message and location as the walk alone."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        obj=valid_complexes(),
+        edits=st.lists(
+            st.tuples(st.integers(0, 99), st.integers(0, 99), st.booleans(), MUTANTS),
+            max_size=3,
+        ),
+        at=st.sampled_from(["", "image"]),
+    )
+    def test_messages_match_the_walk(self, obj, edits, at):
+        facets = obj["facets"]
+        for i, j, whole, value in edits:
+            i %= len(facets)
+            if whole or not isinstance(facets[i], list) or not facets[i]:
+                facets[i] = value
+            else:
+                facets[i][j % len(facets[i])] = value
+        assert _message(check_complex, obj, at) == _message(oracle_check_complex, obj, at)
+
+    def test_a_valid_report_image_passes(self):
+        obj = json.loads(report_json(run(ProcessConfig(n=30, d=2, seed=1))))
+        assert _message(check_complex, obj["image"], "image") is None
+
+
+class TestFloatTexts:
+    """The writers' memo formats each distinct float once per write."""
+
+    def test_zeros_keep_their_sign(self):
+        text = serialize._Texts(json.dumps)
+        assert [text[x] for x in (0.0, -0.0, 0.0)] == ["0.0", "-0.0", "0.0"]
+        text = serialize._Texts(repr)
+        assert [text[x] for x in (-0.0, 0.0, -0.0)] == ["-0.0", "0.0", "-0.0"]
+        assert not text
+
+    def test_nonfinite_as_json_and_csv_write_them(self):
+        values = (math.nan, math.inf, -math.inf, math.nan)
+        assert [serialize._Texts(json.dumps)[x] for x in values] == [
+            "NaN", "Infinity", "-Infinity", "NaN"]
+        assert [serialize._Texts(repr)[x] for x in values] == ["nan", "inf", "-inf", "nan"]
+
+    def test_formats_each_value_once(self):
+        calls = []
+        text = serialize._Texts(lambda x: calls.append(x) or repr(x))
+        assert [text[x] for x in (0.5, 1e-7, 0.5, 0.0, 0.5, 0.0)] == [
+            "0.5", "1e-07", "0.5", "0.0", "0.5", "0.0"]
+        assert calls == [0.5, 1e-7, 0.0, 0.0]
+
+    def test_odd_values_across_records_match_the_oracles(self, tmp_path):
+        # a value repeated across records, signed zeros, a non-finite
+        # prediction and a band that is finite in one record only
+        def entry(pred, band, z):
+            return TrajectoryEntry(size=2, y=3, w=(1, 0, 2), pred=pred, band=band, z=z)
+
+        records = [
+            TrajectoryRecord(step=0, t=0.0, p=1.0, terminal_y=9, entries={
+                "b": entry(0.5, 2.0, (0.0, -0.0, 0.5)), "a": entry(-0.0, math.inf, (1.0,) * 3)}),
+            TrajectoryRecord(step=5, t=-0.0, p=0.5, terminal_y=4, entries={
+                "b": entry(math.nan, 0.5, (-0.0, 0.0, math.inf)), "a": entry(math.inf, 0.5, (0.5,) * 3)}),
+        ]
+        cfg = ProcessConfig(n=30, d=2, seed=1)
+        report = dataclasses.replace(run(cfg), records=records)
+        assert report_json(report) == oracle_report_json(report)
+        assert '"t":-0.0' in report_json(report) and '"pred":NaN' in report_json(report)
+        write_trajectory_csv(records, cfg, str(tmp_path / "a.csv"))
+        oracle_write_trajectory_csv(records, cfg, str(tmp_path / "b.csv"))
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+NAMES = st.one_of(
+    st.sampled_from(['"trajectory":[]', 'say "hi"', "back\\slash", "ünïcødé ✓", "a,b", "l\nm", ""]),
+    st.text(max_size=6),
+).filter(lambda name: name != "link" and not name.startswith("rand"))
+
+
+class TestWritersMatchOracles:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        config_cls=st.sampled_from([ProcessConfig, PmConfig]),
+        d=st.sampled_from([2, 3]),
+        extra_n=st.integers(0, 12),
+        seed=st.integers(0, 2**16),
+        record_every=st.sampled_from([1, 3, 7]),
+        name=NAMES,
+    )
+    def test_bytes_match(self, tmp_path_factory, config_cls, d, extra_n, seed, record_every, name):
+        w = config_cls.spec.width(d)
+        n = 2 * w + extra_n
+        cfg = config_cls(n=n, d=d, seed=seed, record_every=record_every, track_random=2,
+                         track=((name, (tuple(range(1, d)),)),), allow_small_n=True)
+        report = (pm_run if config_cls is PmConfig else run)(cfg)
+        assert report_json(report) == oracle_report_json(report)
+        tmp = tmp_path_factory.mktemp("traj")
+        write_trajectory_csv(report.records, cfg, str(tmp / "a.csv"))
+        oracle_write_trajectory_csv(report.records, cfg, str(tmp / "b.csv"))
+        assert (tmp / "a.csv").read_bytes() == (tmp / "b.csv").read_bytes()
 
 
 class TestTrajectoryCsv:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import json
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -20,6 +23,16 @@ from corridor_forge.complexes import (
 from corridor_forge.dual import build_dual, is_connected
 from corridor_forge.errors import EmptyDual, InvalidParams, VerificationError
 from corridor_forge.gf2 import Gf2Matrix, boundary_matrix, reduced_betti
+from corridor_forge.serialize import (
+    COMPLEX_SCHEMA,
+    _check_array,
+    _check_int,
+    _check_object,
+    _fail,
+    _report_fields,
+    csv_columns,
+)
+from corridor_forge.trajectory import predicted_y
 
 
 def straight_corridor(d: int, N: int) -> SimplicialComplex:
@@ -237,3 +250,84 @@ def oracle_snapshot(state) -> dict[str, tuple[int, tuple[int, ...]]]:
         y = sum(1 for v in range(1, n + 1) if v not in vertices and v not in left)
         snapshot[tc.name] = (y, tuple(w))
     return snapshot
+
+
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
+def record_to_dict(rec) -> dict:
+    """A trajectory record as a JSON-ready dict, band and Z null once the
+    band is not finite."""
+    entries = {}
+    for name, e in sorted(rec.entries.items()):
+        band = _finite_or_none(e.band)
+        entries[name] = {
+            "size": e.size,
+            "y": e.y,
+            "w": list(e.w),
+            "pred": e.pred,
+            "band": band,
+            "z": None if band is None else list(e.z),
+        }
+    return {
+        "step": rec.step,
+        "t": rec.t,
+        "p": rec.p,
+        "terminal_y": rec.terminal_y,
+        "entries": entries,
+    }
+
+
+def report_to_dict(report) -> dict:
+    """The whole report as one JSON-ready dict, checked once."""
+    return {**_report_fields(report), "trajectory": [record_to_dict(r) for r in report.records]}
+
+
+def oracle_report_json(report) -> str:
+    """The report through one json.dumps of report_to_dict: the byte
+    oracle for serialize.report_json."""
+    return json.dumps(report_to_dict(report), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def oracle_write_trajectory_csv(records, config, path: str):
+    """Every row through csv.writer with its floats as floats: the byte
+    oracle for serialize.write_trajectory_csv."""
+    n, d, spec = config.n, config.d, config.spec
+    period, size_term = spec.period(d), spec.rate(d)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(csv_columns(period))
+        for rec in records:
+            pred_term = predicted_y(n, rec.p, size_term)
+            writer.writerow(
+                [rec.step, rec.t, rec.p, "terminal", size_term, rec.terminal_y, pred_term, ""]
+                + [""] * (2 * period)
+            )
+            for name, e in sorted(rec.entries.items()):
+                band = _finite_or_none(e.band)
+                z = list(e.z) if band is not None else [""] * period
+                writer.writerow(
+                    [rec.step, rec.t, rec.p, name, e.size, e.y, e.pred,
+                     band if band is not None else ""]
+                    + list(e.w)
+                    + z
+                )
+
+
+def oracle_check_complex(obj, at: str = "") -> None:
+    """check_complex as one walk over every facet and vertex, with no
+    C-level pass: the oracle of its messages and locations."""
+    _check_object(obj, at, COMPLEX_SCHEMA["required"])
+    extra = sorted(obj.keys() - COMPLEX_SCHEMA["properties"].keys(), key=repr)
+    if extra:
+        _fail(at, f"Additional properties are not allowed: {', '.join(map(repr, extra))}")
+    prefix = f"{at}." if at else ""
+    _check_int(obj["n"], prefix + "n", 1)
+    _check_int(obj["d"], prefix + "d", 0)
+    facets = obj["facets"]
+    _check_array(facets, prefix + "facets")
+    for i, facet in enumerate(facets):
+        _check_array(facet, f"{prefix}facets[{i}]")
+        for j, v in enumerate(facet):
+            _check_int(v, f"{prefix}facets[{i}][{j}]", 1)
