@@ -5,7 +5,9 @@ each (d-2)-face tau, packed to an int by ``complexes.pack``, to a Python-int
 bitmask with bit v set when tau + {v} is closed, so the candidate scan is a
 few big-int operations instead of a pass over [n]. A step enters its new
 faces with one OR per key, and a new bit already set means a face closed
-twice.
+twice. The engine loop (``corridor._advance``) does both inline;
+``scan_available`` is the reference scan, with no caller in the program,
+that the tests check the loop's scan against.
 """
 
 from __future__ import annotations
@@ -25,44 +27,13 @@ def closed_twice(key: int, overlap: int, n: int, d: int):
     raise VerificationError(f"face {face} closed twice")
 
 
-class BitChoices:
-    """The set bits of an int as a read-only sorted sequence: ``len`` is
-    the popcount and ``[k]`` the k-th smallest set bit, found by bisecting
-    on the popcounts of its right shifts without building the list."""
-
-    __slots__ = ("bits", "size")
-
-    def __init__(self, bits: int):
-        self.bits = bits
-        self.size = bits.bit_count()
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, k: int) -> int:
-        if not 0 <= k < self.size:
-            raise IndexError("choice index out of range")
-        bits = self.bits
-        # invariant: fewer than k+1 set bits below lo, at least k+1 below hi,
-        # that is at least size-k at or above lo and fewer at or above hi
-        above = self.size - k
-        lo, hi = 0, bits.bit_length()
-        while hi - lo > 1:
-            mid = (lo + hi) >> 1
-            if (bits >> mid).bit_count() >= above:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-
 def scan_available(
     *, n: int, masks: dict[int, int], keys: Iterable[int], recent: int
-) -> tuple[int, BitChoices]:
+) -> tuple[int, list[int]]:
     """(count of vertices in [n] that close no closed face with any tau,
-    those vertices additionally outside the bitmask ``recent`` as sorted
-    choices): the scan of one state, for callers outside the engine loop,
-    which inlines it.
+    those vertices additionally outside the bitmask ``recent`` as a sorted
+    list of choices): the reference scan of one state. The engine loop
+    inlines it, so nothing in the program calls it.
 
     ``keys`` are the packed (d-2)-faces tau of the window. The count
     excludes the window without a mask of its own: the start closes every
@@ -73,4 +44,5 @@ def scan_available(
     for key in keys:
         blocked |= masks.get(key, 0)
     avail = ((1 << (n + 1)) - 2) & ~blocked
-    return avail.bit_count(), BitChoices(avail & ~recent)
+    choices = avail & ~recent
+    return avail.bit_count(), [v for v in range(n + 1) if choices >> v & 1]

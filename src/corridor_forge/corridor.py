@@ -30,11 +30,12 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Callable, ClassVar
 
-from .closure import BitChoices, closed_twice
+from .closure import closed_twice
 from .complexes import Face, SimplicialComplex, k_faces, pack, window_faces
 from .errors import InvalidParams, OutOfRegime, VerificationError
 from .trajectory import (
@@ -179,20 +180,10 @@ class ProcessState:
     rng: random.Random
     tracker: TrajectoryTracker | None = None
     first_low_step: int | None = None
-    # bitmask of the previous 2w images, phi[-2w:], and the sorted
-    # window phi[-w:], kept by the engine loop
-    recent: int = 0
-    window: list[int] = field(default_factory=list)
-    # positions of the window's (d-2)-faces in the sorted window, and
-    # _cone_positions(w, d), fixed for the run by init
-    tau_positions: list[tuple[int, ...]] = field(default_factory=list)
-    cone_positions: list[list[tuple[int, ...]]] = field(default_factory=list)
-    # the scan of this state, set by the engine loop: |X_k|, the choices
-    # for the next vertex (None before the first scan) and the window's
-    # (d-2)-faces tau, packed
+    # the scan of this state, set by the engine loop: |X_k| and the bitmask
+    # of the choices for the next vertex (None before the first scan)
     available: int = 0
-    choices: BitChoices | None = None
-    taus: list[int] = field(default_factory=list)
+    choices: int | None = None
 
 
 @dataclass
@@ -259,19 +250,15 @@ def init(config: ProcessConfig) -> ProcessState:
     w = config.spec.width(d)
     rng = random.Random(config.seed)
     start = rng.sample(range(1, n + 1), w + 1)
-    state = ProcessState(
-        config=config, phi=list(start), masks={}, step=0, rng=rng,
-        recent=sum(1 << v for v in start), window=sorted(start[1:]),
-        tau_positions=list(combinations(range(w), d - 1)),
-        cone_positions=_cone_positions(w, d),
-    )
+    state = ProcessState(config=config, phi=list(start), masks={}, step=0, rng=rng)
     tracker = None
     if config.record_every > 0:
         tracker = state.tracker = TrajectoryTracker(
-            n, config.spec.period(d), default_tracked_family(config), state.masks
+            n, config.spec.period(d), default_tracked_family(config)
         )
+    start_bits = sum(1 << v for v in start)
     for tau in combinations(sorted(start), d - 1):
-        key, bits = pack(tau, n), state.recent - sum(1 << v for v in tau)
+        key, bits = pack(tau, n), start_bits - sum(1 << v for v in tau)
         state.masks[key] = bits
         if tracker is not None:
             tracker.note_closure(key, bits, 0)
@@ -279,13 +266,17 @@ def init(config: ProcessConfig) -> ProcessState:
     return state
 
 
-def _cone_positions(k: int, d: int) -> list[list[tuple[int, ...]]]:
-    """For each rank r of a new vertex v among k sorted window vertices, the
-    positions, in the window with v inserted at r, of the (d-2)-faces
-    rho + {v} for rho in C(window, d-2): the (d-1)-subsets holding r."""
-    return [
-        [c for c in combinations(range(k + 1), d - 1) if r in c] for r in range(k + 1)
-    ]
+@cache
+def _positions(w: int, d: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The positions, in a sorted window of w vertices, of its (d-2)-faces
+    tau; then, for each rank r of a new vertex v among them, the positions,
+    in the window with v inserted at r, of the (d-2)-faces rho + {v} for
+    rho in C(window, d-2): the (d-1)-subsets holding r. Tuples, as every
+    run of these (w, d) shares them."""
+    cones = tuple(
+        tuple(c for c in combinations(range(w + 1), d - 1) if r in c) for r in range(w + 1)
+    )
+    return tuple(combinations(range(w), d - 1)), cones
 
 
 def _advance(state: ProcessState, limit: int | None) -> int:
@@ -306,8 +297,10 @@ def _advance(state: ProcessState, limit: int | None) -> int:
     the keys it tracks. The window then takes v in and lets its oldest
     vertex go.
 
-    ``state.choices`` may be replaced by any vertices; the next step
-    draws from them."""
+    The state holds only the run and its scan: on entry the loop rebuilds
+    the sorted window phi[-w:], the bits of the previous 2w images
+    phi[-2w:] and the packed taus from phi, and a state whose ``choices``
+    is None is scanned first."""
     cfg = state.config
     n, d = cfg.n, cfg.d
     base = n + 1
@@ -315,19 +308,15 @@ def _advance(state: ProcessState, limit: int | None) -> int:
     masks, phi, tracker = state.masks, state.phi, state.tracker
     tracked = () if tracker is None else tracker.index
     randrange = state.rng.randrange
-    tau_positions, cone_positions = state.tau_positions, state.cone_positions
-    window = list(state.window)
-    w = len(window)
+    w = cfg.spec.width(d)
+    tau_positions, cone_positions = _positions(w, d)
+    window = sorted(phi[-w:])
     window_bits = sum(1 << u for u in window)
+    recent = sum(1 << u for u in phi[-2 * w :])
     back = 2 * w + 1  # phi[-back] leaves the previous 2w images
-    i, recent, first_low = state.step, state.recent, state.first_low_step
-    taus, available, choices = state.taus, state.available, state.choices
-    if choices is None:
-        bits = None
-    elif isinstance(choices, BitChoices):
-        bits = choices.bits
-    else:
-        bits = sum(1 << v for v in set(choices))
+    taus = [pack([window[p] for p in positions], n) for positions in tau_positions]
+    i, first_low = state.step, state.first_low_step
+    available, bits = state.available, state.choices
     made = 0
     while True:
         if bits is None:
@@ -345,8 +334,8 @@ def _advance(state: ProcessState, limit: int | None) -> int:
                 first_low = i
         if made == limit or not bits:
             break
-        # BitChoices.__getitem__ inlined: fewer than k+1 set bits below lo,
-        # at least k+1 below hi
+        # the k-th smallest choice: fewer than k+1 set bits below lo, at
+        # least k+1 below hi
         size = bits.bit_count()
         above = size - randrange(size)
         lo, hi = 0, bits.bit_length()
@@ -389,9 +378,8 @@ def _advance(state: ProcessState, limit: int | None) -> int:
             recent ^= 1 << phi[-back]
         bits = None
         made += 1
-    state.step, state.recent, state.first_low_step = i, recent, first_low
-    state.window, state.taus, state.available = window, taus, available
-    state.choices = BitChoices(bits)
+    state.step, state.first_low_step = i, first_low
+    state.available, state.choices = available, bits
     return made
 
 
@@ -414,7 +402,7 @@ def _record(state: ProcessState) -> TrajectoryRecord:
     e_val = spec.error_function(d, p)
     band = band_halfwidth(n, e_val)
     entries: dict[str, TrajectoryEntry] = {}
-    snap = state.tracker.snapshot()
+    snap = state.tracker.snapshot(state.masks)
     for tc in state.tracker.tracked:
         y, w = snap[tc.name]
         entries[tc.name] = TrajectoryEntry(
@@ -453,7 +441,7 @@ def verify_process(state: ProcessState):
         raise VerificationError("closure index out of step with the closed faces")
     if state.tracker is not None:
         for tc in state.tracker.tracked:
-            if not state.tracker.identity_holds(tc):
+            if not state.tracker.identity_holds(tc, state.masks):
                 raise VerificationError(f"Y/W identity broken for {tc.name}")
 
 

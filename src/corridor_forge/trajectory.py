@@ -15,6 +15,7 @@ checks the counters against the closure index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .complexes import Face, make_face, pack
 from .errors import InvalidTrackedComplex, OutOfRegime
@@ -30,6 +31,10 @@ class TrackedComplex:
     @property
     def vertices(self) -> frozenset[int]:
         return frozenset(v for f in self.faces for v in f)
+
+    @cached_property
+    def vertex_bits(self) -> int:
+        return sum(1 << v for v in self.vertices)
 
     @property
     def v_count(self) -> int:
@@ -59,21 +64,22 @@ def tracked_complex(name: str, faces, d: int, max_v: int, max_size: int) -> Trac
 
 class TrajectoryTracker:
     """W_{A,j} counters for a fixed tracked family of distinctly named
-    complexes on [n]; Y_A is read from ``masks``, the run's closure index,
-    keyed by packed (d-2)-face."""
+    complexes on [n], counted from the start of a run; Y_A is read from the
+    closure index passed in, keyed by packed (d-2)-face."""
 
-    def __init__(self, n: int, period: int, tracked: list[TrackedComplex], masks):
+    def __init__(self, n: int, period: int, tracked: list[TrackedComplex]):
         self.n = n
         self.period = period
         self.tracked = list(tracked)
-        self.masks = masks
         self.w = {tc.name: [0] * period for tc in self.tracked}
         if len(self.w) < len(self.tracked):
             names = [tc.name for tc in self.tracked]
             twice = sorted({x for x in names if names.count(x) > 1})
             raise InvalidTrackedComplex(f"tracked complex names used twice: {twice}")
-        self.v_bits = {tc.name: sum(1 << v for v in tc.vertices) for tc in self.tracked}
-        outside = [name for name, bits in self.v_bits.items() if bits >> n + 1]
+        # the running out-mask of each complex, kept by note_closure: A's
+        # vertices before any face is closed
+        self.out = {tc.name: tc.vertex_bits for tc in self.tracked}
+        outside = [name for name, bits in self.out.items() if bits >> n + 1]
         if outside:
             raise InvalidTrackedComplex(f"{outside}: tracked vertices must lie in [1, {n}]")
         self.keys = {tc.name: [pack(f, n) for f in tc.faces] for tc in self.tracked}
@@ -82,15 +88,13 @@ class TrajectoryTracker:
         for name, keys in self.keys.items():
             for key in keys:
                 self.index.setdefault(key, []).append(name)
-        # the running out-mask of each complex, kept by note_closure
-        self.out = {tc.name: self._out(tc) for tc in self.tracked}
 
-    def _out(self, tc: TrackedComplex) -> int:
+    def _out(self, tc: TrackedComplex, masks: dict[int, int]) -> int:
         """Bitmask of the vertices of [n] outside Y_A, from the closure
         index: those of A and each v with tau + {v} closed for some tau in A."""
-        out = self.v_bits[tc.name]
+        out = tc.vertex_bits
         for key in self.keys[tc.name]:
-            out |= self.masks.get(key, 0)
+            out |= masks.get(key, 0)
         return out
 
     def note_closure(self, key: int, bits: int, round_no: int):
@@ -106,14 +110,16 @@ class TrajectoryTracker:
             self.w[name][j] += (bits & ~out).bit_count()
             self.out[name] = out | bits
 
-    def identity_holds(self, tc: TrackedComplex) -> bool:
-        """Y_A = n - v_A - sum_j W_{A,j}, with Y_A from the closure index."""
-        return self._out(tc).bit_count() == tc.v_count + sum(self.w[tc.name])
+    def identity_holds(self, tc: TrackedComplex, masks: dict[int, int]) -> bool:
+        """Y_A = n - v_A - sum_j W_{A,j}, with Y_A from the closure index
+        ``masks``."""
+        return self._out(tc, masks).bit_count() == tc.v_count + sum(self.w[tc.name])
 
-    def snapshot(self) -> dict[str, tuple[int, tuple[int, ...]]]:
-        """Name -> (Y_A, W_{A,j} tuple) for every tracked complex."""
+    def snapshot(self, masks: dict[int, int]) -> dict[str, tuple[int, tuple[int, ...]]]:
+        """Name -> (Y_A, W_{A,j} tuple) for every tracked complex, Y_A from
+        the closure index ``masks``."""
         return {
-            tc.name: (self.n - self._out(tc).bit_count(), tuple(self.w[tc.name]))
+            tc.name: (self.n - self._out(tc, masks).bit_count(), tuple(self.w[tc.name]))
             for tc in self.tracked
         }
 

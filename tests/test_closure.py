@@ -18,12 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corridor_forge import corridor
-from corridor_forge.closure import BitChoices, scan_available
+from corridor_forge.closure import scan_available
 from corridor_forge.complexes import pack
 from corridor_forge.corridor import ProcessConfig, init, simulate, step, verify_process
 from corridor_forge.errors import VerificationError
 from corridor_forge.pm import PmConfig
-from util import close_face, closed_faces
+from util import close_face, closed_faces, set_bits
 
 
 def oracle_scan(state):
@@ -45,17 +45,15 @@ def oracle_scan(state):
 
 
 def assert_scan_matches(state):
-    count, choices = state.available, state.choices
+    # the engine loop's scan, and the reference scan on tau and the recent
+    # images rebuilt from phi, are both the oracle's
+    n, w = state.config.n, state.config.spec.width(state.config.d)
     taus, want_count, want = oracle_scan(state)
-    assert state.taus == [pack(tau, state.config.n) for tau in taus]
-    assert count == want_count
-    assert scan_available(n=state.config.n, masks=state.masks, keys=state.taus,
-                          recent=state.recent)[0] == count
-    assert len(choices) == len(want)
-    assert list(choices) == want
-    assert [choices[k] for k in range(len(choices))] == want
-    with pytest.raises(IndexError):
-        choices[len(choices)]
+    keys = [pack(tau, n) for tau in taus]
+    recent = sum(1 << v for v in state.phi[-2 * w :])
+    assert scan_available(n=n, masks=state.masks, keys=keys, recent=recent) == (want_count, want)
+    assert state.available == want_count
+    assert set_bits(state.choices) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -108,7 +106,7 @@ def test_simulate_matches_single_steps(config_cls, d, extra_n, seed, record_ever
     assert single.first_low_step == state.first_low_step
     assert single_records == records
     assert single.available == state.available
-    assert list(single.choices) == list(state.choices) == []
+    assert single.choices == state.choices == 0
     if record_every:
         assert single.tracker.w == state.tracker.w
 
@@ -140,15 +138,6 @@ def test_masks_match_per_face_oracle(config_cls, d, extra_n, seed, prefix):
         assert state.masks == oracle_masks(state)
 
 
-@given(st.integers(0, 2**200))
-def test_bit_choices_is_the_sorted_set_bits(bits):
-    want = [v for v in range(bits.bit_length()) if bits >> v & 1]
-    choices = BitChoices(bits)
-    assert len(choices) == len(want)
-    assert list(choices) == want
-    assert [choices[k] for k in range(len(want))] == want
-
-
 @pytest.mark.parametrize("config", [ProcessConfig(n=30, d=3, seed=2), PmConfig(n=40, d=2, seed=2)])
 def test_verify_process_catches_broken_index(config):
     state, _ = simulate(config)
@@ -168,7 +157,7 @@ def test_step_rejects_a_closed_face(config):
     w = config.spec.width(config.d)
     first_tau = sorted(state.phi[-w:])[: config.d - 1]
     face = tuple(sorted([*first_tau, v]))
-    state.choices = [v]
+    state.choices = 1 << v
     with pytest.raises(VerificationError, match=re.escape(f"face {face} closed twice")):
         step(state)
 
@@ -178,7 +167,7 @@ def test_verify_process_catches_a_repeat_past_close_face(monkeypatch):
     # the popcount sum of the index falls short
     monkeypatch.setattr(corridor, "closed_twice", lambda *args: None)
     state = init(ProcessConfig(n=30, d=2, seed=2))
-    state.choices = [state.phi[0]]
+    state.choices = 1 << state.phi[0]
     assert step(state)
     with pytest.raises(VerificationError, match="closure index"):
         verify_process(state)
@@ -192,7 +181,7 @@ def test_repeated_face_raises_under_python_O():
         "assert False, 'asserts are on'\n"
         "from corridor_forge.corridor import ProcessConfig, init, step\n"
         "state = init(ProcessConfig(n=30, d=2, seed=2))\n"
-        "state.choices = [state.phi[0]]\n"
+        "state.choices = 1 << state.phi[0]\n"
         "step(state)\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"

@@ -48,7 +48,13 @@ from corridor_forge.trajectory import (
     predicted_y,
     z_statistic,
 )
-from util import closed_faces, oracle_snapshot, oracle_window_faces, straight_corridor
+from util import (
+    closed_faces,
+    oracle_snapshot,
+    oracle_window_faces,
+    set_bits,
+    straight_corridor,
+)
 
 
 class TestInit:
@@ -93,7 +99,7 @@ class TestInit:
 class TestStep:
     def test_candidates_at_step_zero(self):
         state = init(ProcessConfig(n=30, d=2, seed=3))
-        cand = list(state.choices)
+        cand = set_bits(state.choices)
         assert len(cand) == 30 - 3
         assert not set(cand) & set(state.phi)
 
@@ -271,11 +277,41 @@ def test_tracker_matches_oracle(config_cls, d, extra_n, seed, prefix):
     state = init(
         config_cls(n=2 * w + extra_n, d=d, seed=seed, record_every=1, allow_small_n=True)
     )
-    assert state.tracker.snapshot() == oracle_snapshot(state)
+    assert state.tracker.snapshot(state.masks) == oracle_snapshot(state)
     for _ in range(prefix):
         if not step(state):
             break
-        assert state.tracker.snapshot() == oracle_snapshot(state)
+        assert state.tracker.snapshot(state.masks) == oracle_snapshot(state)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    config_cls=st.sampled_from([ProcessConfig, PmConfig]),
+    d=st.sampled_from([2, 3, 4]),
+    extra_n=st.integers(0, 10),
+    seed=st.integers(0, 2**32 - 1),
+    prefix=st.integers(0, 60),
+)
+def test_rebuilt_state_resumes_the_run(config_cls, d, extra_n, seed, prefix):
+    """The state is the run and its scan, with no cache of the engine loop:
+    one built by hand from the run alone, unscanned, runs on as the
+    original does."""
+    w = config_cls.spec.width(d)
+    state = init(config_cls(n=w + 2 + extra_n, d=d, seed=seed, allow_small_n=True))
+    for _ in range(prefix):
+        if not step(state):
+            break
+    rng = random.Random()
+    rng.setstate(state.rng.getstate())
+    rebuilt = ProcessState(
+        config=state.config, phi=list(state.phi), masks=dict(state.masks),
+        step=state.step, rng=rng, first_low_step=state.first_low_step, choices=None,
+    )
+    corridor._advance(state, None)
+    corridor._advance(rebuilt, None)
+    assert rebuilt.phi == state.phi
+    assert rebuilt.masks == state.masks
+    assert rebuilt.first_low_step == state.first_low_step
 
 
 class TestTrackerIdentity:
@@ -286,7 +322,7 @@ class TestTrackerIdentity:
             if not step(state):
                 break
             for tc in tracker.tracked:
-                assert tracker.identity_holds(tc)
+                assert tracker.identity_holds(tc, state.masks)
 
     def test_skipped_subface_breaks_identity(self, monkeypatch):
         """A note_closure that misses every closure into one key of a

@@ -27,7 +27,7 @@ from corridor_forge.pm import (
     pm_run,
 )
 from corridor_forge.trajectory import band_halfwidth, predicted_y
-from util import closed_faces, oracle_window_faces
+from util import closed_faces, oracle_window_faces, set_bits
 
 
 class TestInit:
@@ -53,7 +53,7 @@ class TestInit:
 class TestStep:
     def test_candidates_exclude_window(self):
         state = init(PmConfig(n=40, d=2, seed=3))
-        cand = list(state.choices)
+        cand = set_bits(state.choices)
         assert len(cand) == 40 - 4
         assert not set(cand) & set(state.phi)
 

@@ -228,6 +228,11 @@ def close_face(masks: dict[tuple[int, ...], int], face: tuple[int, ...]):
         masks[tau] = mask | (1 << v)
 
 
+def set_bits(bits: int) -> list[int]:
+    """The set bits of ``bits``, smallest first: the vertices of a bitmask."""
+    return [v for v in range(bits.bit_length()) if bits >> v & 1]
+
+
 def oracle_snapshot(state) -> dict[str, tuple[int, tuple[int, ...]]]:
     """Name -> (Y_A, W_{A,j} tuple) for each tracked complex of a state,
     from the mapped vertices alone: a vertex v outside A leaves Y_A at the
